@@ -26,7 +26,9 @@ race:
 # the harness churn mode, the quality replay, and the chaos checker) under
 # the race detector, plus a short-budget chaos pass over the whole registry
 # (scalar, batch widths, and pooled handle lifecycles), a smoke run of the
-# batch-width grid, and a self-diff smoke of the trend tool.
+# batch-width grid, a self-diff smoke of the trend tool, and the vet and
+# tests of the separate benchmark module (bench/), which the root module's
+# ./... does not reach.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -42,6 +44,7 @@ check:
 		-reps 2 -queues linden -out "" > /dev/null
 	$(GO) run ./cmd/pqtrend -q BENCH_6.json BENCH_6.json
 	$(GO) run ./cmd/pqtrend -q BENCH_9.json BENCH_10.json
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-injection stress pass: every registry queue under seeded schedule
 # perturbations and forced CAS/try-lock failures, with item-conservation,
@@ -109,7 +112,7 @@ durable:
 	$(GO) test -race -count=1 -run TestKillRecoverConserve ./cmd/pqd/
 
 # The durable-tier acceptance bench: fig-4a cell over durable-wrapped
-# queues on a real WAL (mmap segments where the platform supports them),
+# queues on a real WAL (preallocated pwrite segments),
 # group commit vs the fsync-per-op naive baseline, with fsync
 # accounting; batch width 8 mirrors the socket grid so the tiers are
 # comparable. Emitted with "dur:"/"dur-naive:" cells so pqtrend keeps

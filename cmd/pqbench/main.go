@@ -83,8 +83,7 @@ func main() {
 		durDir    = flag.String("durable-dir", "", "durable mode: log directory (default ./pqbench-durable.tmp, removed afterward)")
 		durWin    = flag.Duration("commit-window", 0, "durable mode: group-commit dally window (0 = commit cohorts as they form)")
 		snapEvF   = flag.Int("snap-every", 0, "durable mode: snapshot cadence in logged ops per queue (0 = final snapshot only)")
-		segBytesF = flag.Int("seg-bytes", 0, "durable mode: WAL segment size in bytes (0 = default 1 MiB; also the mmap preallocation unit)")
-		backendF  = flag.String("wal-backend", "", `durable mode: store backend "mmap", "file", or empty for the platform default`)
+		segBytesF = flag.Int("seg-bytes", 0, "durable mode: WAL segment size in bytes (0 = default 1 MiB; also the preallocation unit)")
 		recoverF  = flag.Bool("recover", false, "recovery mode: measure the cold-start replay rate (M items/s) against WAL tail length; adds rec: cells to -out (combine with -durable for one combined report)")
 		recAgesF  = flag.String("recover-ages", "0,100000", "recover mode: comma-separated snapshot ages (WAL records logged since the last snapshot at the crash point)")
 		recItems  = flag.Int("recover-items", 200000, "recover mode: live items captured by the snapshot at the crash point")
@@ -126,7 +125,6 @@ func main() {
 	cli.ValidateBatch("pqbench", *altBatch)
 	cli.ValidateSnapEvery("pqbench", *snapEvF)
 	cli.ValidateSegBytes("pqbench", *segBytesF)
-	cli.ValidateWALBackend("pqbench", *backendF)
 
 	if *durableF || *recoverF {
 		if !*durableF && *queuesF == "" {
@@ -141,7 +139,7 @@ func main() {
 		defer os.RemoveAll(dir)
 		dcfg := durConfig{
 			window: *durWin, snapEvery: *snapEvF,
-			segBytes: *segBytesF, backend: *backendF,
+			segBytes: *segBytesF,
 		}
 		var recCells []recCell
 		if *recoverF {
@@ -406,7 +404,6 @@ type durConfig struct {
 	window    time.Duration
 	snapEvery int
 	segBytes  int
-	backend   string
 }
 
 // writeDurReport stamps the environment fields and writes the report.
@@ -450,8 +447,8 @@ func runDurableTable(queueNames []string, threads []int,
 	wl workload.Kind, kd keys.Distribution,
 	duration time.Duration, reps, prefill, batch int, seed uint64,
 	cfg durConfig, dir, out string, markdown bool, recCells []recCell) {
-	fmt.Printf("# durable workload=%s keys=%s prefill=%d duration=%v reps=%d batch=%d window=%v backend=%s\n",
-		wl, kd, prefill, duration, reps, batch, cfg.window, backendLabel(cfg.backend))
+	fmt.Printf("# durable workload=%s keys=%s prefill=%d duration=%v reps=%d batch=%d window=%v\n",
+		wl, kd, prefill, duration, reps, batch, cfg.window)
 
 	var table cli.Table
 	head := []string{"threads"}
@@ -482,7 +479,6 @@ func runDurableTable(queueNames []string, threads []int,
 								GroupCommitWindow: cfg.window,
 								SnapshotEvery:     cfg.snapEvery,
 								SegmentBytes:      cfg.segBytes,
-								Backend:           cfg.backend,
 								Naive:             naive,
 							},
 						})
@@ -573,28 +569,16 @@ func runDurableTable(queueNames []string, threads []int,
 	})
 }
 
-// backendLabel names the effective WAL backend for table headers.
-func backendLabel(backend string) string {
-	if backend != "" {
-		return backend
-	}
-	if kv.MmapSupported {
-		return "mmap"
-	}
-	return "file"
-}
-
 // runRecoverTable is the -recover mode: for each queue and snapshot age
 // it fabricates a crashed store — `items` live inserts captured by an
 // explicit snapshot, then `age` more logged inserts that only the WAL
-// holds — and times a cold open end to end: store open (mmap + torn-tail
+// holds — and times a cold open end to end: store open (torn-tail
 // scan), manifest + part decode, WAL tail fold, and the rebuild of the
 // in-memory queue. Cells are millions of recovered items per second;
 // the age sweep is the recovery-time curve EXPERIMENTS.md plots.
 func runRecoverTable(queueNames []string, ages []int, items, reps int,
 	seed uint64, cfg durConfig, dir string, markdown bool) []recCell {
-	fmt.Printf("# recover backend=%s items=%d ages=%v reps=%d\n",
-		backendLabel(cfg.backend), items, ages, reps)
+	fmt.Printf("# recover items=%d ages=%v reps=%d\n", items, ages, reps)
 
 	var table cli.Table
 	head := []string{"age"}
@@ -696,21 +680,11 @@ func buildCrashedStore(name, sub string, items, age int, seed uint64, cfg durCon
 	exitOn(store.Close())
 }
 
-// openRecStore opens the recovery fixture directory with the configured
-// (or platform-default) backend — the same selection durable.Wrap makes
-// from a Dir, done here so the benchmark controls the store lifetime.
+// openRecStore opens the recovery fixture directory with the store
+// durable.Wrap opens from a Dir, done here so the benchmark controls the
+// store lifetime.
 func openRecStore(sub string, cfg durConfig) kv.Store {
-	segBytes := cfg.segBytes
-	if segBytes == 0 {
-		segBytes = kv.DefaultSegmentBytes
-	}
-	useMmap := cfg.backend == "mmap" || (cfg.backend == "" && kv.MmapSupported)
-	if useMmap {
-		s, err := kv.OpenMmap(sub, segBytes)
-		exitOn(err)
-		return s
-	}
-	s, err := kv.OpenFile(sub)
+	s, err := kv.OpenMmap(sub, cfg.segBytes)
 	exitOn(err)
 	return s
 }

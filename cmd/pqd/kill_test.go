@@ -129,14 +129,7 @@ type workerLog struct {
 
 func replayDir(t *testing.T, dir string) []pq.KV {
 	t.Helper()
-	// pqd writes through the platform-default backend; open the same one.
-	var store kv.Store
-	var err error
-	if kv.MmapSupported {
-		store, err = kv.OpenMmap(dir, 0)
-	} else {
-		store, err = kv.OpenFile(dir)
-	}
+	store, err := kv.OpenFile(dir)
 	if err != nil {
 		t.Fatalf("open store %s: %v", dir, err)
 	}

@@ -60,8 +60,7 @@ func main() {
 		durableF = flag.String("durable", "", "write-ahead log `dir`: wrap every served queue durably, one subdirectory per queue id")
 		window   = flag.Duration("commit-window", 0, "durable group-commit dally window (0 = commit cohorts as they form)")
 		snapEv   = flag.Int("snap-every", 0, "durable snapshot cadence in logged ops per queue (0 = explicit/final snapshots only)")
-		segBytes = flag.Int("seg-bytes", 0, "durable WAL segment size in bytes (0 = default 1 MiB; also the mmap preallocation unit)")
-		backend  = flag.String("wal-backend", "", `durable store backend: "mmap", "file", or empty for the platform default`)
+		segBytes = flag.Int("seg-bytes", 0, "durable WAL segment size in bytes (0 = default 1 MiB; also the preallocation unit)")
 		telemF   = flag.Bool("telemetry", false, "collect queue-internals counters; print the table on shutdown (DESIGN.md §5, §7)")
 		prof     = cli.NewProfiler(flag.CommandLine)
 	)
@@ -69,7 +68,6 @@ func main() {
 	telemetry.Enabled = *telemF
 	cli.ValidateSnapEvery("pqd", *snapEv)
 	cli.ValidateSegBytes("pqd", *segBytes)
-	cli.ValidateWALBackend("pqd", *backend)
 
 	stopProf, err := prof.Start()
 	exitOn(err)
@@ -97,7 +95,6 @@ func main() {
 					GroupCommitWindow: *window,
 					SnapshotEvery:     *snapEv,
 					SegmentBytes:      *segBytes,
-					Backend:           *backend,
 				}
 			}
 			return cpq.NewQueue(spec, o)

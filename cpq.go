@@ -38,8 +38,7 @@
 // The registry (NewQueue, Names) maps the paper's benchmark identifiers
 // ("klsm128", "linden", "spray", "multiq", "globallock", ...) to factories,
 // parameterized by an Options struct (intended thread count, per-structure
-// tuning). Unknown identifiers are reported as *UnknownQueueError. The
-// two-argument New(name, threads) form is deprecated in favor of NewQueue.
+// tuning). Unknown identifiers are reported as *UnknownQueueError.
 package cpq
 
 import (
@@ -219,11 +218,6 @@ type DurableOptions struct {
 	// The fsync-per-op baseline for benchmarks; never what a service
 	// wants.
 	Naive bool
-	// Backend selects the WAL store implementation: "mmap" (preallocated
-	// memory-mapped segments, fails on platforms without mmap), "file"
-	// (plain appends), or "" for the platform default — mmap where
-	// supported, file otherwise. Anything else is a *DurableError.
-	Backend string
 }
 
 // DurableError reports a durable-incompatible NewQueue request — a
@@ -251,7 +245,7 @@ func (o Options) threads() int {
 	return o.Threads
 }
 
-// UnknownQueueError is returned by NewQueue (and New) when the identifier
+// UnknownQueueError is returned by NewQueue when the identifier
 // does not name any registered queue. Known carries the registry's
 // identifiers so callers can print an accurate usage hint.
 type UnknownQueueError struct {
@@ -290,8 +284,6 @@ func NewQueue(name string, opts Options) (Queue, error) {
 		reason = "negative SnapshotEvery"
 	case d.SegmentBytes < 0:
 		reason = "negative SegmentBytes"
-	case d.Backend != "" && d.Backend != "mmap" && d.Backend != "file":
-		reason = fmt.Sprintf("unknown Backend %q", d.Backend)
 	}
 	if reason != "" {
 		return nil, &DurableError{Name: name, Reason: reason}
@@ -302,7 +294,6 @@ func NewQueue(name string, opts Options) (Queue, error) {
 		SnapshotEvery:     d.SnapshotEvery,
 		SegmentBytes:      d.SegmentBytes,
 		Naive:             d.Naive,
-		Backend:           d.Backend,
 	})
 	if err != nil {
 		return nil, &DurableError{Name: name, Reason: "open durable store", Err: err}
@@ -364,16 +355,6 @@ func newBase(name string, opts Options) (Queue, error) {
 		return NewMultiQueue(c, threads), nil
 	}
 	return nil, &UnknownQueueError{Name: name, Known: Names()}
-}
-
-// New constructs a queue by its benchmark identifier for the given intended
-// thread count.
-//
-// Deprecated: use NewQueue, which takes an Options struct and leaves room
-// for per-structure tuning. New(name, threads) is exactly
-// NewQueue(name, Options{Threads: threads}).
-func New(name string, threads int) (Queue, error) {
-	return NewQueue(name, Options{Threads: threads})
 }
 
 // Flush publishes any operations buffered in h so that every item the

@@ -66,7 +66,6 @@ func TestNewQueueDurableErrors(t *testing.T) {
 		{"negative window", cpq.DurableOptions{Dir: "x", GroupCommitWindow: -1}},
 		{"negative snapshot", cpq.DurableOptions{Dir: "x", SnapshotEvery: -1}},
 		{"negative segment", cpq.DurableOptions{Dir: "x", SegmentBytes: -1}},
-		{"unknown backend", cpq.DurableOptions{Dir: "x", Backend: "tape"}},
 	}
 	for _, tc := range cases {
 		opts := tc.opts

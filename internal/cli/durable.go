@@ -5,14 +5,8 @@ import (
 	"os"
 )
 
-// WAL backends the durable tier accepts through -wal-backend. Empty
-// means "pick per platform" (mmap where supported, else file); the
-// explicit names force one and fail loudly where unsupported.
-var walBackends = []string{"", "mmap", "file"}
-
-// MaxSegmentBytes caps -seg-bytes: a WAL segment (and, on the mmap
-// backend, one preallocated mapping) of more than 1 GiB is a unit
-// mistake, not a tuning choice.
+// MaxSegmentBytes caps -seg-bytes: a WAL segment (one preallocated
+// file) of more than 1 GiB is a unit mistake, not a tuning choice.
 const MaxSegmentBytes = 1 << 30
 
 // ValidateSnapEvery checks a -snap-every cadence (logged ops between
@@ -35,17 +29,4 @@ func ValidateSegBytes(tool string, bytes int) {
 			tool, bytes, MaxSegmentBytes)
 		os.Exit(2)
 	}
-}
-
-// ValidateWALBackend checks a -wal-backend selector, exiting with status
-// 2 on anything but "", "mmap" or "file".
-func ValidateWALBackend(tool, backend string) {
-	for _, b := range walBackends {
-		if backend == b {
-			return
-		}
-	}
-	fmt.Fprintf(os.Stderr, "%s: invalid -wal-backend %q (want \"mmap\", \"file\", or empty for the platform default)\n",
-		tool, backend)
-	os.Exit(2)
 }

@@ -14,18 +14,11 @@ import (
 // Options configures a durable wrapper.
 type Options struct {
 	// Store is the backend to persist through. If nil, Dir must name a
-	// directory and a store is opened there per Backend (and owned:
+	// directory, and the disk segment store is opened there (and owned:
 	// Close closes it).
 	Store kv.Store
 	// Dir is where to open a kv store when Store is nil.
 	Dir string
-	// Backend selects the store opened at Dir when Store is nil:
-	//   ""     — preallocated mmap segments where the platform supports
-	//            them, the plain file store otherwise (the default);
-	//   "mmap" — preallocated mmap segments, error if unsupported;
-	//   "file" — the O_APPEND file store.
-	// Anything else is an error.
-	Backend string
 	// GroupCommitWindow is an optional dally the commit leader takes
 	// before claiming the pending buffer, letting more producers join the
 	// cohort. Zero (the default) is right for most loads: parked
@@ -119,21 +112,7 @@ func Wrap(inner pq.Queue, opts Options) (*Queue, error) {
 			return nil, fmt.Errorf("durable: Options needs a Store or a Dir")
 		}
 		var err error
-		switch opts.Backend {
-		case "", "mmap":
-			if kv.MmapSupported {
-				store, err = kv.OpenMmap(opts.Dir, opts.SegmentBytes)
-				break
-			}
-			if opts.Backend == "mmap" {
-				return nil, fmt.Errorf("durable: backend %q is not supported on this platform", opts.Backend)
-			}
-			store, err = kv.OpenFile(opts.Dir)
-		case "file":
-			store, err = kv.OpenFile(opts.Dir)
-		default:
-			return nil, fmt.Errorf("durable: unknown backend %q (want \"mmap\" or \"file\")", opts.Backend)
-		}
+		store, err = kv.OpenMmap(opts.Dir, opts.SegmentBytes)
 		if err != nil {
 			return nil, fmt.Errorf("durable: open store: %w", err)
 		}

@@ -2,6 +2,9 @@ package durable_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -173,9 +176,6 @@ func TestSnapshotTruncatesWAL(t *testing.T) {
 	}
 	if len(manifests) != 1 {
 		t.Fatalf("%d manifests in store, want exactly 1 (old ones truncated)", len(manifests))
-	}
-	if snaps, _ := store.List("snap/"); len(snaps) != 0 {
-		t.Fatalf("legacy snap/ keys written by the concurrent protocol: %v", snaps)
 	}
 
 	r, err := durable.Wrap(newInner(t, "klsm128"), durable.Options{Store: store})
@@ -381,9 +381,9 @@ func TestCloseIsIdempotentAndFinal(t *testing.T) {
 	}
 }
 
-// TestFileStoreRecovery runs the round trip against the real file backend
-// — the same path pqd's -durable flag uses.
-func TestFileStoreRecovery(t *testing.T) {
+// TestDirOpenedStoreRecovery runs the round trip against the disk store
+// Wrap opens from Options.Dir — the same path pqd's -durable flag uses.
+func TestDirOpenedStoreRecovery(t *testing.T) {
 	dir := t.TempDir()
 	q, err := durable.Wrap(newInner(t, "linden"), durable.Options{Dir: dir, SegmentBytes: 256})
 	if err != nil {
@@ -401,7 +401,69 @@ func TestFileStoreRecovery(t *testing.T) {
 	}
 	got := drain(t, r)
 	if len(got) != 300 {
-		t.Fatalf("recovered %d items from file store, want 300", len(got))
+		t.Fatalf("recovered %d items from the Dir-opened store, want 300", len(got))
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPlainFileLayoutRecovers pins that no on-disk data is stranded: a
+// directory in the older O_APPEND layout — one plain file per key, WAL
+// segments and snapshot parts included, no "@seg" segment files — still
+// recovers every item through Options.Dir, because the disk store reads
+// the plain file of any key that has no segment.
+func TestPlainFileLayoutRecovers(t *testing.T) {
+	store := kv.NewInmem()
+	q, err := durable.Wrap(newInner(t, "linden"), durable.Options{Store: store, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := q.Handle()
+	for i := uint64(0); i < 200; i++ {
+		h.Insert(i, i*3)
+	}
+	if err := q.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(200); i < 300; i++ {
+		h.Insert(i, i*3)
+	}
+	for i := 0; i < 50; i++ {
+		h.DeleteMin()
+	}
+	want, err := durable.ReplayStore(store)
+	if err != nil || len(want) != 250 {
+		t.Fatalf("source store replays %d items (err %v), want 250", len(want), err)
+	}
+
+	dir := t.TempDir()
+	keys, err := store.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixes := map[string]bool{}
+	for _, k := range keys {
+		v, _, err := store.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefixes[k[:strings.IndexByte(k, '/')]] = true
+		name := strings.ReplaceAll(k, "/", "%2f") // the store's file-name escaping
+		if err := os.WriteFile(filepath.Join(dir, name), v, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !prefixes["wal"] || !prefixes["part"] || !prefixes["manifest"] {
+		t.Fatalf("fixture lacks a key family: %v", keys)
+	}
+
+	r, err := durable.Wrap(newInner(t, "linden"), durable.Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("recover the plain-file layout: %v", err)
+	}
+	if got := drain(t, r); !equalSets(got, want) {
+		t.Fatalf("recovered %d items from the plain-file layout, want %d", len(got), len(want))
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func NewInmem() *Inmem { return &Inmem{m: make(map[string][]byte)} }
 var errClosed = errors.New("kv: store is closed")
 
 // Syncs reports how many Sync barriers were requested (test observability;
-// the file store's analogue is real fsyncs).
+// the disk store's analogue is real fsyncs).
 func (s *Inmem) Syncs() uint64 { return s.syncs.Load() }
 
 // Get implements Store.

@@ -1,6 +1,7 @@
 // Package kv defines the minimal storage interface the durable queue tier
 // (internal/durable) persists through, with an in-memory implementation
-// for tests and an append-safe file implementation for production use.
+// for tests and a preallocated-segment disk implementation (Disk) for
+// production use.
 //
 // The interface is deliberately small — point reads, sorted prefix
 // listing, an atomic write batch, raw appends, and a durability barrier —
@@ -22,9 +23,9 @@
 //     designed around that weaker contract so simple file backends
 //     qualify (see internal/durable's snapshot/truncate rule).
 //
-// Keys are flat strings; the durable tier namespaces with "wal/" and
-// "snap/" prefixes and relies on List returning keys in ascending byte
-// order.
+// Keys are flat strings; the durable tier namespaces with "wal/",
+// "part/" and "manifest/" prefixes and relies on List returning keys in
+// ascending byte order.
 package kv
 
 // Tx is the view inside an Update write batch. Set and Delete stage

@@ -7,26 +7,24 @@ import (
 	"testing"
 )
 
-// stores returns every Store implementation under a fresh root. The
-// mmap store joins on platforms that have it; its in-process reads give
-// exact byte-for-byte Append/Get semantics like the others (the record-
-// framing requirement only applies to reopen, which the contract test
-// never does — see mmap_test.go for that side).
+// stores returns every Store implementation: the in-memory one, and the
+// disk store through each of its two constructors, each under a fresh
+// root — "file" at the default segment size, "mmap" at a small one whose
+// appends take the grow path. All give exact byte-for-byte Append/Get
+// semantics in process (the record-framing requirement only applies to
+// reopen, which the contract test never does — see TestFileReopen,
+// TestMmapReopen and segment_test.go).
 func stores(t *testing.T) map[string]Store {
 	t.Helper()
 	f, err := OpenFile(t.TempDir())
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
 	}
-	out := map[string]Store{"inmem": NewInmem(), "file": f}
-	if MmapSupported {
-		m, err := OpenMmap(t.TempDir(), 1<<16)
-		if err != nil {
-			t.Fatalf("OpenMmap: %v", err)
-		}
-		out["mmap"] = m
+	m, err := OpenMmap(t.TempDir(), 1<<4)
+	if err != nil {
+		t.Fatalf("OpenMmap: %v", err)
 	}
-	return out
+	return map[string]Store{"inmem": NewInmem(), "file": f, "mmap": m}
 }
 
 func TestStoreContract(t *testing.T) {
@@ -53,18 +51,18 @@ func TestStoreContract(t *testing.T) {
 
 			// Update: sets and deletes land together; Tx reads pre-state.
 			err = s.Update(func(tx Tx) error {
-				if _, ok, _ := tx.Get("snap/0002"); ok {
+				if _, ok, _ := tx.Get("part/0002"); ok {
 					t.Error("tx.Get sees a key that was never written")
 				}
-				tx.Set("snap/0002", []byte("snapshot"))
+				tx.Set("part/0002", []byte("snapshot"))
 				tx.Set("meta", []byte("m"))
 				return nil
 			})
 			if err != nil {
 				t.Fatalf("Update: %v", err)
 			}
-			if v, ok, _ := s.Get("snap/0002"); !ok || !bytes.Equal(v, []byte("snapshot")) {
-				t.Fatalf("Get(snap/0002) = %q ok=%v", v, ok)
+			if v, ok, _ := s.Get("part/0002"); !ok || !bytes.Equal(v, []byte("snapshot")) {
+				t.Fatalf("Get(part/0002) = %q ok=%v", v, ok)
 			}
 
 			// An erroring callback discards the whole batch.
@@ -116,57 +114,73 @@ func TestStoreContract(t *testing.T) {
 	}
 }
 
-// TestFileReopen pins the property recovery depends on: a reopened file
-// store sees exactly what was appended and committed before.
+// TestFileReopen pins the property recovery depends on: a reopened disk
+// store re-establishes the valid tail of each preallocated segment from
+// the record framing, sees every committed Set key, and appends continue
+// from the tail rather than from the preallocated size. (The in-memory
+// store has nothing to reopen.)
 func TestFileReopen(t *testing.T) {
+	testReopen(t, OpenFile)
+}
+
+// TestMmapReopen is TestFileReopen through OpenMmap with segments smaller
+// than the preallocation default, so the reopen scan walks a segment the
+// appends grew.
+func TestMmapReopen(t *testing.T) {
+	testReopen(t, func(dir string) (*Disk, error) { return OpenMmap(dir, 1<<4) })
+}
+
+func testReopen(t *testing.T, open func(dir string) (*Disk, error)) {
 	dir := t.TempDir()
-	s, err := OpenFile(dir)
+	s, err := open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("wal/00000001", []byte("hello ")); err != nil {
+	r1, r2 := frame([]byte("hello")), frame([]byte("world"))
+	if err := s.Append("wal/00000001", r1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("wal/00000001", []byte("world")); err != nil {
+	if err := s.Append("wal/00000001", r2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update(func(tx Tx) error { tx.Set("snap/00000001", []byte("S")); return nil }); err != nil {
+	if err := s.Update(func(tx Tx) error { tx.Set("manifest/00000001", []byte("M")); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	r, err := OpenFile(dir)
+	r, err := open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	v, ok, err := r.Get("wal/00000001")
-	if err != nil || !ok || string(v) != "hello world" {
-		t.Fatalf("reopened Get = %q ok=%v err=%v", v, ok, err)
+	want := append(append([]byte(nil), r1...), r2...)
+	if v, ok, err := r.Get("wal/00000001"); err != nil || !ok || !bytes.Equal(v, want) {
+		t.Fatalf("reopened Get = %d bytes ok=%v err=%v, want %d bytes", len(v), ok, err, len(want))
 	}
-	keys, err := r.List("")
-	if err != nil {
+	if v, ok, _ := r.Get("manifest/00000001"); !ok || string(v) != "M" {
+		t.Fatalf("reopened manifest Get = %q ok=%v", v, ok)
+	}
+	if keys, err := r.List(""); err != nil ||
+		!reflect.DeepEqual(keys, []string{"manifest/00000001", "wal/00000001"}) {
+		t.Fatalf("reopened List = %v err=%v", keys, err)
+	}
+	r3 := frame([]byte("!"))
+	if err := r.Append("wal/00000001", r3); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"snap/00000001", "wal/00000001"}; !reflect.DeepEqual(keys, want) {
-		t.Fatalf("reopened List = %v, want %v", keys, want)
-	}
-	// Appends continue where the previous process stopped.
-	if err := r.Append("wal/00000001", []byte("!")); err != nil {
-		t.Fatal(err)
-	}
-	if v, _, _ := r.Get("wal/00000001"); string(v) != "hello world!" {
-		t.Fatalf("append after reopen = %q", v)
+	want = append(want, r3...)
+	if v, _, _ := r.Get("wal/00000001"); !bytes.Equal(v, want) {
+		t.Fatalf("append after reopen = %d bytes, want %d", len(v), len(want))
 	}
 }
 
-// TestKeyEscaping round-trips hostile key bytes through the file store's
-// name escaping.
+// TestKeyEscaping round-trips hostile key bytes through the disk store's
+// name escaping, and through Append/Get on every store.
 func TestKeyEscaping(t *testing.T) {
 	keys := []string{
 		"wal/0001", "a/b/c", "with space", "pct%sign", "dots..", "UPPER_lower-9",
@@ -178,20 +192,20 @@ func TestKeyEscaping(t *testing.T) {
 			t.Fatalf("escape round-trip of %q = %q ok=%v", k, got, ok)
 		}
 	}
-	f, err := OpenFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	for i, k := range keys {
-		if err := f.Append(k, []byte{byte(i)}); err != nil {
-			t.Fatalf("Append(%q): %v", k, err)
-		}
-	}
-	for i, k := range keys {
-		v, ok, err := f.Get(k)
-		if err != nil || !ok || len(v) != 1 || v[0] != byte(i) {
-			t.Fatalf("Get(%q) = %v ok=%v err=%v", k, v, ok, err)
-		}
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			defer s.Close()
+			for i, k := range keys {
+				if err := s.Append(k, []byte{byte(i)}); err != nil {
+					t.Fatalf("Append(%q): %v", k, err)
+				}
+			}
+			for i, k := range keys {
+				v, ok, err := s.Get(k)
+				if err != nil || !ok || len(v) != 1 || v[0] != byte(i) {
+					t.Fatalf("Get(%q) = %v ok=%v err=%v", k, v, ok, err)
+				}
+			}
+		})
 	}
 }

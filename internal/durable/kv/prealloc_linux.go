@@ -8,9 +8,9 @@ import (
 )
 
 // prealloc reserves size bytes of real blocks for f. fallocate both
-// extends the inode size and allocates the extents, so later appends
-// into the mapping dirty only data pages — no metadata journaling on
-// the hot path, which is the point of preallocating.
+// extends the inode size and allocates the extents, so later pwrites
+// into the region dirty only data pages — no metadata journaling on the
+// hot path, which is the point of preallocating.
 func prealloc(f *os.File, size int64) error {
 	if err := syscall.Fallocate(int(f.Fd()), 0, 0, size); err != nil {
 		// Filesystems without fallocate (tmpfs on old kernels, overlay

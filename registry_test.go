@@ -9,8 +9,7 @@ import (
 )
 
 // TestRegistryRoundTrip: every advertised identifier constructs, reports
-// itself under the same name, and the deprecated New wrapper builds the
-// identical queue as NewQueue.
+// itself under the same name, and yields a usable queue.
 func TestRegistryRoundTrip(t *testing.T) {
 	for _, name := range Names() {
 		q, err := NewQueue(name, Options{Threads: 4})
@@ -20,14 +19,6 @@ func TestRegistryRoundTrip(t *testing.T) {
 		if q.Name() != name {
 			t.Fatalf("NewQueue(%q).Name() = %q", name, q.Name())
 		}
-		old, err := New(name, 4)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		if old.Name() != q.Name() {
-			t.Fatalf("New(%q) built %q, NewQueue built %q", name, old.Name(), q.Name())
-		}
-		// Both construction paths must yield a usable queue.
 		h := q.Handle()
 		h.Insert(42, 1)
 		if k, _, ok := h.DeleteMin(); !ok || k != 42 {

@@ -23,7 +23,7 @@ func TestSteadyStateMemoryStable(t *testing.T) {
 	for _, name := range PaperNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			q, err := New(name, 2)
+			q, err := NewQueue(name, Options{Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestKLSM16MimicsLinden(t *testing.T) {
 	run := func(name string) quality.Result {
 		return quality.Run(quality.Config{
 			NewQueue: func(p int) pq.Queue {
-				q, err := New(name, p)
+				q, err := NewQueue(name, Options{Threads: p})
 				if err != nil {
 					t.Fatal(err)
 				}

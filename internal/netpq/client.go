@@ -15,6 +15,8 @@
 // Buffered writes are explicit: Start* methods buffer, Flush pushes the
 // bytes to the socket. Recv flushes automatically before blocking, so a
 // send-then-recv loop cannot deadlock on its own buffered requests.
+// Responses are read through a FrameReader, the server's read path: a
+// burst of responses is one read and is decoded in place.
 package netpq
 
 import (
@@ -29,13 +31,13 @@ import (
 // Client is one protocol connection. Not safe for concurrent use.
 type Client struct {
 	nc    net.Conn
-	br    *bufio.Reader
+	fr    *FrameReader
 	bw    *bufio.Writer
 	req   uint32
 	queue string // canonical queue id from HelloOK
 
 	enc  []byte // encode scratch
-	resp Frame  // decode scratch; aliased by Resp.KVs until next Recv
+	resp Frame  // the last response; its payload aliases fr's buffer until next Recv
 	kvs  []pq.KV
 }
 
@@ -74,7 +76,7 @@ func NewClient(nc net.Conn, queueID string) (*Client, error) {
 	}
 	c := &Client{
 		nc: nc,
-		br: bufio.NewReaderSize(nc, 64<<10),
+		fr: NewFrameReader(nc),
 		bw: bufio.NewWriterSize(nc, 64<<10),
 	}
 	if len(queueID) > MaxQueueID {
@@ -159,7 +161,8 @@ func (c *Client) Recv() (Resp, error) {
 			return Resp{}, err
 		}
 	}
-	if err := ReadFrame(c.br, &c.resp); err != nil {
+	var err error
+	if c.resp, err = c.fr.ReadFrame(); err != nil {
 		return Resp{}, err
 	}
 	r := Resp{Op: c.resp.Op, Req: c.resp.Req, Count: int(c.resp.Count)}

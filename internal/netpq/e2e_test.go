@@ -12,12 +12,14 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cpq"
 	"cpq/internal/netpq"
 	"cpq/internal/pq"
+	"cpq/internal/telemetry"
 )
 
 func newLoopbackServer(t *testing.T, opts netpq.Options) (*netpq.Server, string) {
@@ -189,19 +191,21 @@ func TestEndToEndConservation(t *testing.T) {
 func TestServerErrorFrames(t *testing.T) {
 	_, addr := newLoopbackServer(t, netpq.Options{DefaultQueue: "klsm128"})
 
+	// Each connection keeps one FrameReader: it may read past the frame
+	// it returns, so a fresh reader per frame could drop the next one.
+	readers := map[net.Conn]*netpq.FrameReader{}
 	dial := func() net.Conn {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { nc.Close() })
+		readers[nc] = netpq.NewFrameReader(nc)
 		return nc
 	}
 	readFrame := func(nc net.Conn) (netpq.Frame, error) {
-		var f netpq.Frame
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		err := netpq.ReadFrame(nc, &f)
-		return f, err
+		return readers[nc].ReadFrame()
 	}
 	expectErr := func(nc net.Conn, code uint16) {
 		t.Helper()
@@ -336,6 +340,98 @@ func TestClientRoundTrip(t *testing.T) {
 	if st.ItemsIn != uint64(len(kvs)) || st.ItemsOut != uint64(total) || st.FramesIn == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// readCountingListener counts the Read calls made on the connections it
+// accepts.
+type readCountingListener struct {
+	net.Listener
+	reads *atomic.Int64
+}
+
+func (l readCountingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return readCountingConn{nc, l.reads}, nil
+}
+
+type readCountingConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c readCountingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestServerReadsPipelinedBurstAtOnce pins the server's read path: a
+// pipelined burst of request frames that arrives in one client write is
+// read off the socket in one call, not one or more calls per frame, and
+// the net-read counter reports exactly the reads the socket saw.
+func TestServerReadsPipelinedBurstAtOnce(t *testing.T) {
+	const frames = 64
+	telemetry.Enabled = true
+	telemetry.Reset()
+	defer func() { telemetry.Enabled = false; telemetry.Reset() }()
+
+	srv, err := netpq.NewServer(netpq.Options{
+		DefaultQueue: "multiq-s4-b8",
+		NewQueue: func(spec, _ string, threads int) (pq.Queue, error) {
+			return cpq.NewQueue(spec, cpq.Options{Threads: 4})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads atomic.Int64
+	go srv.Serve(readCountingListener{ln, &reads})
+	defer srv.Close()
+
+	c, err := netpq.Dial(ln.Addr().String(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterHello := reads.Load()
+	kvs := make([]pq.KV, 8)
+	for i := 0; i < frames; i++ {
+		if i%2 == 0 {
+			_, err = c.StartInsertN(kvs)
+		} else {
+			_, err = c.StartDeleteMinN(len(kvs))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < frames; i++ { // the first Recv flushes the whole burst
+		if r, err := c.Recv(); err != nil || r.Err != nil {
+			t.Fatalf("response %d: %+v, %v", i, r, err)
+		}
+	}
+	burstReads := reads.Load() - afterHello
+	c.Close()
+	srv.Close()
+
+	// The burst may arrive in more than one piece; one read per frame or
+	// more (the unbuffered path read 2 or 3 times per frame) cannot pass.
+	if burstReads > frames/8 {
+		t.Fatalf("server read the %d-frame burst in %d calls, want at most %d", frames, burstReads, frames/8)
+	}
+	snap := telemetry.Capture()
+	if got, want := snap.Counts[telemetry.NetRead], uint64(reads.Load()); got != want {
+		t.Fatalf("net-read = %d, socket saw %d reads", got, want)
+	}
+	if got := snap.Counts[telemetry.NetFrameIn]; got != frames+1 {
+		t.Fatalf("net-frame-in = %d, want %d", got, frames+1)
+	}
+	t.Logf("%d reads for %d frames", burstReads, frames)
 }
 
 // TestSlowConsumerEviction pins the backpressure failure mode: a client

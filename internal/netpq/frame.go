@@ -17,9 +17,9 @@
 //	+-----------+---------+--------+----------+-----------+----------+
 //
 // length counts everything after itself (HeaderLen + len(payload)).
-// DecodeFrame and ReadFrame validate length, version and payload shape and
-// return typed errors — a malformed frame is an error, never a panic
-// (FuzzDecodeFrame pins this).
+// DecodeFrame and FrameReader validate length, version and payload shape
+// and return typed errors — a malformed frame is an error, never a panic
+// (FuzzDecodeFrame and FuzzReadFrame pin this).
 package netpq
 
 import (
@@ -115,8 +115,8 @@ const (
 	ErrCodeShutdown uint16 = 8
 )
 
-// Decode errors. ReadFrame and DecodeFrame return these (possibly
-// wrapped); the server maps them onto error frames via code in errcode.go.
+// Decode errors. FrameReader.ReadFrame and DecodeFrame return these
+// (possibly wrapped); the server's dispatch maps them onto error frames.
 var (
 	// ErrTruncated: the buffer ends before the frame does (DecodeFrame
 	// only; a streaming reader treats it as "need more bytes").
@@ -130,8 +130,8 @@ var (
 )
 
 // Frame is one decoded protocol frame. Payload aliases the decode buffer
-// (DecodeFrame) or a reusable internal buffer (ReadFrame into the same
-// Frame); it is valid until the next decode into the same destination.
+// (DecodeFrame) or the reader's buffer (FrameReader.ReadFrame); it is
+// valid until that buffer is reused.
 type Frame struct {
 	Op      byte
 	Req     uint32
@@ -158,7 +158,10 @@ func AppendFrame(dst []byte, f Frame) []byte {
 // DecodeFrame parses one frame from the front of buf. On success it
 // returns the frame (Payload aliasing buf) and the total bytes consumed.
 // Errors are ErrTruncated (buf ends mid-frame), ErrFrameTooSmall,
-// ErrFrameTooLarge, or ErrBadVersion; no input can make it panic.
+// ErrFrameTooLarge, or ErrBadVersion; no input can make it panic. Each
+// violation is reported as soon as the bytes that show it are in buf —
+// the length prefix, then the version byte — so a streaming reader fails
+// a bad frame without waiting for the rest of it.
 func DecodeFrame(buf []byte) (Frame, int, error) {
 	if len(buf) < LenPrefixLen {
 		return Frame{}, 0, ErrTruncated
@@ -170,12 +173,12 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 	case length > MaxFrameLen:
 		return Frame{}, 0, ErrFrameTooLarge
 	}
+	if len(buf) > 4 && buf[4] != Version {
+		return Frame{}, 0, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, buf[4], Version)
+	}
 	total := LenPrefixLen + int(length)
 	if len(buf) < total {
 		return Frame{}, 0, ErrTruncated
-	}
-	if buf[4] != Version {
-		return Frame{}, 0, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, buf[4], Version)
 	}
 	f := Frame{
 		Op:    buf[5],
@@ -188,51 +191,58 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 	return f, total, nil
 }
 
-// ReadFrame reads one frame from r into f, reusing f.Payload's backing
-// array across calls. The error is io.EOF exactly when the stream ends
-// cleanly between frames; a stream ending inside a frame is
-// io.ErrUnexpectedEOF. Length-prefix and version violations return the
-// same typed errors as DecodeFrame, with the offending frame unread
-// beyond its header — the connection must be torn down, as the stream can
-// no longer be delimited reliably.
-func ReadFrame(r io.Reader, f *Frame) error {
-	var hdr [LenPrefixLen + HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:LenPrefixLen]); err != nil {
-		return err
-	}
-	length := binary.BigEndian.Uint32(hdr[:])
-	switch {
-	case length < HeaderLen:
-		return ErrFrameTooSmall
-	case length > MaxFrameLen:
-		return ErrFrameTooLarge
-	}
-	if _, err := io.ReadFull(r, hdr[LenPrefixLen:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+// readBufferLen is the size of a FrameReader's buffer: room for a whole
+// pipelined burst of small frames, and always for at least one frame of
+// the largest legal size, so a frame never has to be read in pieces.
+const readBufferLen = 64 << 10
+
+// FrameReader delimits frames out of a byte stream. It reads into one
+// buffer as much as the stream has ready and decodes every complete
+// frame in it in place, so a pipelined burst of frames costs one Read
+// call on the stream, and no payload is copied out of the buffer.
+type FrameReader struct {
+	r          io.Reader
+	buf        []byte
+	start, end int   // buf[start:end] holds bytes read but not yet decoded
+	err        error // the stream's error, returned once buf has no frame left
+}
+
+// NewFrameReader returns a reader of the frames on r.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: r, buf: make([]byte, readBufferLen)}
+}
+
+// ReadFrame returns the next frame. Its Payload aliases the reader's
+// buffer and is valid until the next call. The error is io.EOF exactly
+// when the stream ends cleanly between frames; a stream ending inside a
+// frame is io.ErrUnexpectedEOF. Length-prefix and version violations
+// return DecodeFrame's typed errors as soon as the offending bytes
+// arrive; the stream can then no longer be delimited, so the connection
+// must be torn down and the reader not used again.
+func (fr *FrameReader) ReadFrame() (Frame, error) {
+	for {
+		f, n, err := DecodeFrame(fr.buf[fr.start:fr.end])
+		if err == nil {
+			fr.start += n
+			return f, nil
 		}
-		return err
-	}
-	if hdr[4] != Version {
-		return fmt.Errorf("%w: got %d, want %d", ErrBadVersion, hdr[4], Version)
-	}
-	f.Op = hdr[5]
-	f.Req = binary.BigEndian.Uint32(hdr[6:])
-	f.Count = binary.BigEndian.Uint16(hdr[10:])
-	payloadLen := int(length) - HeaderLen
-	if cap(f.Payload) < payloadLen {
-		f.Payload = make([]byte, payloadLen)
-	}
-	f.Payload = f.Payload[:payloadLen]
-	if payloadLen > 0 {
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
+		if err != ErrTruncated {
+			return Frame{}, err
+		}
+		if fr.err != nil {
+			if fr.err == io.EOF && fr.start < fr.end {
+				return Frame{}, io.ErrUnexpectedEOF
 			}
-			return err
+			return Frame{}, fr.err
 		}
+		// Slide the partial frame to the front; the frames before it are
+		// spent. It fits with room to spare: DecodeFrame bounded its
+		// length, and the buffer holds a frame of the largest length.
+		fr.end = copy(fr.buf, fr.buf[fr.start:fr.end])
+		fr.start = 0
+		n, fr.err = fr.r.Read(fr.buf[fr.end:])
+		fr.end += n
 	}
-	return nil
 }
 
 // AppendKVs appends the wire encoding of kvs (16 bytes per pair, key then

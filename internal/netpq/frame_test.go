@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"cpq/internal/pq"
 )
@@ -34,8 +37,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 
 		// The streaming reader must agree with the buffer decoder.
-		var f Frame
-		if err := ReadFrame(bytes.NewReader(wire), &f); err != nil {
+		f, err := readOne(wire)
+		if err != nil {
 			t.Fatalf("ReadFrame(%#02x): %v", want.Op, err)
 		}
 		if f.Op != want.Op || f.Req != want.Req || f.Count != want.Count || !bytes.Equal(f.Payload, want.Payload) {
@@ -77,7 +80,7 @@ func TestDecodeFrameErrors(t *testing.T) {
 		if _, _, err := DecodeFrame(wire); !errors.Is(err, ErrFrameTooSmall) {
 			t.Fatalf("err = %v, want ErrFrameTooSmall", err)
 		}
-		if err := ReadFrame(bytes.NewReader(wire), new(Frame)); !errors.Is(err, ErrFrameTooSmall) {
+		if _, err := readOne(wire); !errors.Is(err, ErrFrameTooSmall) {
 			t.Fatalf("ReadFrame err = %v, want ErrFrameTooSmall", err)
 		}
 	})
@@ -87,7 +90,7 @@ func TestDecodeFrameErrors(t *testing.T) {
 		if _, _, err := DecodeFrame(wire); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 		}
-		if err := ReadFrame(bytes.NewReader(wire), new(Frame)); !errors.Is(err, ErrFrameTooLarge) {
+		if _, err := readOne(wire); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("ReadFrame err = %v, want ErrFrameTooLarge", err)
 		}
 	})
@@ -97,15 +100,18 @@ func TestDecodeFrameErrors(t *testing.T) {
 		if _, _, err := DecodeFrame(wire); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("err = %v, want ErrBadVersion", err)
 		}
+		if _, err := readOne(wire); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("ReadFrame err = %v, want ErrBadVersion", err)
+		}
 	})
 	t.Run("stream ends mid frame", func(t *testing.T) {
-		err := ReadFrame(bytes.NewReader(valid[:len(valid)-1]), new(Frame))
+		_, err := readOne(valid[:len(valid)-1])
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
 		}
 	})
 	t.Run("clean eof between frames", func(t *testing.T) {
-		if err := ReadFrame(bytes.NewReader(nil), new(Frame)); err != io.EOF {
+		if _, err := readOne(nil); err != io.EOF {
 			t.Fatalf("err = %v, want io.EOF", err)
 		}
 	})
@@ -134,21 +140,186 @@ func TestKVCodec(t *testing.T) {
 	}
 }
 
-// TestReadFrameReusesPayload pins the zero-copy contract: decoding a
-// smaller frame into the same Frame must not reallocate the payload.
+// TestReadFrameReusesPayload pins the zero-copy contract: a frame's
+// payload is decoded in place in the reader's buffer, and reading a
+// stream of frames allocates nothing per frame.
 func TestReadFrameReusesPayload(t *testing.T) {
-	big := AppendFrame(nil, Frame{Op: OpInsert, Req: 1, Count: 4, Payload: make([]byte, 4*KVLen)})
-	small := AppendFrame(nil, Frame{Op: OpInsert, Req: 2, Count: 1, Payload: make([]byte, KVLen)})
-	var f Frame
-	if err := ReadFrame(bytes.NewReader(big), &f); err != nil {
+	frame := AppendFrame(nil, Frame{Op: OpInsert, Req: 1, Count: 4, Payload: make([]byte, 4*KVLen)})
+	src := &loopReader{data: frame}
+	fr := NewFrameReader(src)
+	f, err := fr.ReadFrame()
+	if err != nil {
 		t.Fatal(err)
 	}
-	bigCap := cap(f.Payload)
-	if err := ReadFrame(bytes.NewReader(small), &f); err != nil {
-		t.Fatal(err)
+	buf := fr.buf[:cap(fr.buf)]
+	if p := &f.Payload[0]; p != &buf[LenPrefixLen+HeaderLen] {
+		t.Fatal("payload was copied out of the read buffer")
 	}
-	if cap(f.Payload) != bigCap {
-		t.Fatalf("payload reallocated: cap %d -> %d", bigCap, cap(f.Payload))
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := fr.ReadFrame(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ReadFrame allocates %.1f times per frame, want 0", allocs)
+	}
+}
+
+// loopReader repeats data forever and fills every Read, so reads end
+// mid-frame and the reader has to slide partial frames.
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], l.data[l.off:])
+		n += c
+		l.off = (l.off + c) % len(l.data)
+	}
+	return n, nil
+}
+
+// countReader counts the Read calls made on r.
+type countReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// readOne reads the first frame of wire through a FrameReader.
+func readOne(wire []byte) (Frame, error) {
+	return NewFrameReader(bytes.NewReader(wire)).ReadFrame()
+}
+
+// burst returns n pipelined request frames, alternating insert and
+// delete batches of width 8 as a pipelining client sends them.
+func burst(n int) ([]Frame, []byte) {
+	frames := make([]Frame, n)
+	var wire []byte
+	for i := range frames {
+		f := Frame{Op: OpDeleteMin, Req: uint32(i), Count: 8}
+		if i%2 == 0 {
+			kvs := make([]pq.KV, 8)
+			for j := range kvs {
+				kvs[j] = pq.KV{Key: uint64(i*8 + j), Value: uint64(i)}
+			}
+			f = Frame{Op: OpInsert, Req: uint32(i), Count: 8, Payload: AppendKVs(nil, kvs)}
+		}
+		frames[i] = f
+		wire = AppendFrame(wire, f)
+	}
+	return frames, wire
+}
+
+// readAll reads frames from fr until an error, checking each against want.
+func readAll(t *testing.T, fr *FrameReader, want []Frame) error {
+	t.Helper()
+	for i := 0; ; i++ {
+		f, err := fr.ReadFrame()
+		if err != nil {
+			if i != len(want) && err == io.EOF {
+				t.Fatalf("EOF after %d of %d frames", i, len(want))
+			}
+			return err
+		}
+		if i >= len(want) {
+			t.Fatalf("frame %d beyond the %d written", i, len(want))
+		}
+		w := want[i]
+		if f.Op != w.Op || f.Req != w.Req || f.Count != w.Count || !bytes.Equal(f.Payload, w.Payload) {
+			t.Fatalf("frame %d: got %+v want %+v", i, f, w)
+		}
+	}
+}
+
+// TestFrameReaderOneReadPerBurst pins the point of the reader: a
+// pipelined burst that has fully arrived is delimited out of one Read.
+func TestFrameReaderOneReadPerBurst(t *testing.T) {
+	frames, wire := burst(32)
+	cr := &countReader{r: bytes.NewReader(wire)}
+	if err := readAll(t, NewFrameReader(cr), frames); err != io.EOF {
+		t.Fatalf("err = %v, want io.EOF", err)
+	}
+	// One Read returns the burst, one more reports the end of the stream.
+	if cr.reads != 2 {
+		t.Fatalf("%d reads for a 32-frame burst, want 2", cr.reads)
+	}
+}
+
+// TestFrameReaderSplitStream feeds the same frames through readers that
+// cut the stream at every position a socket can: byte by byte, in halves,
+// with the last bytes and io.EOF in one call, and in chunks that end
+// mid-frame right before a frame of the largest legal size.
+func TestFrameReaderSplitStream(t *testing.T) {
+	frames, wire := burst(40)
+	big := Frame{Op: OpInsert, Req: 99, Count: MaxBatch, Payload: bytes.Repeat([]byte{7}, MaxPayload)}
+	frames = append(frames, big)
+	wire = AppendFrame(wire, big)
+	more, tail := burst(2000)
+	frames = append(frames, more...)
+	wire = append(wire, tail...)
+	if len(wire) < 2*readBufferLen {
+		t.Fatalf("stream of %d bytes does not wrap the %d-byte buffer", len(wire), readBufferLen)
+	}
+	for name, r := range map[string]io.Reader{
+		"one byte":     iotest.OneByteReader(bytes.NewReader(wire)),
+		"half":         iotest.HalfReader(bytes.NewReader(wire)),
+		"data and eof": iotest.DataErrReader(bytes.NewReader(wire)),
+		"odd chunks":   &chunkReader{data: wire, size: 16411},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := readAll(t, NewFrameReader(r), frames); err != io.EOF {
+				t.Fatalf("err = %v, want io.EOF", err)
+			}
+		})
+	}
+}
+
+// chunkReader returns data in Reads of at most size bytes.
+type chunkReader struct {
+	data []byte
+	size int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), c.size)], c.data)
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// TestFrameReaderFailsEarly pins that a bad length prefix or version
+// byte fails the read as soon as it arrives, without waiting for bytes
+// the peer never sends: the server answers the error frame at once.
+func TestFrameReaderFailsEarly(t *testing.T) {
+	valid := AppendFrame(nil, Frame{Op: OpPing, Req: 1, Payload: []byte("x")})
+	for _, tc := range []struct {
+		name   string
+		prefix []byte
+		want   error
+	}{
+		{"length below header", []byte{0, 0, 0, HeaderLen - 1}, ErrFrameTooSmall},
+		{"length above max", binary.BigEndian.AppendUint32(nil, MaxFrameLen+1), ErrFrameTooLarge},
+		{"bad version", append(valid[:LenPrefixLen:LenPrefixLen], Version+1), ErrBadVersion},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer client.Close()
+			defer server.Close()
+			go client.Write(tc.prefix)
+			server.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := NewFrameReader(server).ReadFrame(); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
 	}
 }
 

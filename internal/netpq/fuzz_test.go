@@ -2,7 +2,7 @@ package netpq
 
 import (
 	"bytes"
-	"encoding/binary"
+	"io"
 	"testing"
 )
 
@@ -40,8 +40,8 @@ func FuzzDecodeFrame(f *testing.F) {
 
 		// The streaming reader must agree with the buffer decoder on
 		// every accepted frame.
-		var sf Frame
-		if rerr := ReadFrame(bytes.NewReader(data[:n]), &sf); rerr != nil {
+		sf, rerr := NewFrameReader(bytes.NewReader(data[:n])).ReadFrame()
+		if rerr != nil {
 			t.Fatalf("ReadFrame rejects what DecodeFrame accepts: %v", rerr)
 		}
 		if sf.Op != fr.Op || sf.Req != fr.Req || sf.Count != fr.Count || !bytes.Equal(sf.Payload, fr.Payload) {
@@ -56,20 +56,43 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzReadFrame drives the streaming reader with raw bytes: it must
-// return an error or a frame for any prefix, never panic, and must never
-// accept a frame DecodeFrame rejects.
+// FuzzReadFrame drives the streaming reader with raw bytes, cut into
+// reads of fuzzed sizes: it must never panic, must yield exactly the
+// frames that repeated DecodeFrame calls delimit out of the whole input,
+// and must end with the error DecodeFrame gives for what is left — io.EOF
+// for nothing, io.ErrUnexpectedEOF for a partial frame. Where the stream
+// is cut changes nothing.
 func FuzzReadFrame(f *testing.F) {
-	f.Add(AppendFrame(nil, Frame{Op: OpPing, Req: 9, Payload: []byte("abc")}))
-	f.Add([]byte{0, 0, 0, 7, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var fr Frame
-		if err := ReadFrame(bytes.NewReader(data), &fr); err != nil {
-			return
-		}
-		length := binary.BigEndian.Uint32(data)
-		if _, _, err := DecodeFrame(data[:LenPrefixLen+int(length)]); err != nil {
-			t.Fatalf("ReadFrame accepted what DecodeFrame rejects: %v", err)
+	f.Add(AppendFrame(nil, Frame{Op: OpPing, Req: 9, Payload: []byte("abc")}), uint16(1))
+	f.Add([]byte{0, 0, 0, 7, 1}, uint16(3))
+	f.Add(AppendFrame(AppendFrame(nil, Frame{Op: OpDeleteMin, Req: 1, Count: 8}),
+		Frame{Op: OpInsert, Req: 2, Count: 1, Payload: make([]byte, KVLen)}), uint16(13))
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
+		fr := NewFrameReader(&chunkReader{data: data, size: int(chunk%2048) + 1})
+		rest := data
+		for {
+			got, gerr := fr.ReadFrame()
+			want, n, werr := DecodeFrame(rest)
+			if werr != nil {
+				switch {
+				case werr != ErrTruncated:
+				case len(rest) == 0:
+					werr = io.EOF
+				default:
+					werr = io.ErrUnexpectedEOF
+				}
+				if gerr == nil || gerr.Error() != werr.Error() {
+					t.Fatalf("at offset %d: ReadFrame = %+v, %v; want error %v", len(data)-len(rest), got, gerr, werr)
+				}
+				return
+			}
+			if gerr != nil {
+				t.Fatalf("at offset %d: ReadFrame rejects what DecodeFrame accepts: %v", len(data)-len(rest), gerr)
+			}
+			if got.Op != want.Op || got.Req != want.Req || got.Count != want.Count || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("at offset %d: ReadFrame decodes %+v, DecodeFrame %+v", len(data)-len(rest), got, want)
+			}
+			rest = rest[n:]
 		}
 	})
 }

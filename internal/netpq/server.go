@@ -299,7 +299,6 @@ type conn struct {
 	failed atomic.Bool // responder hit a write error or eviction fired
 
 	// Dispatcher-owned scratch, reused across requests.
-	in  Frame
 	kvs []pq.KV
 
 	// Session state after Hello.
@@ -357,12 +356,16 @@ func (s *Server) handleConn(nc net.Conn) {
 
 // dispatch is the connection's read-execute loop. It returns when the
 // stream ends, a fatal protocol violation occurs, or the responder died.
+// Requests are read through one FrameReader, so a pipelined burst costs
+// one read syscall however many frames it holds.
 func (c *conn) dispatch() error {
+	fr := NewFrameReader(countingReader{c.nc, c.tel})
 	for {
 		if c.failed.Load() {
 			return errors.New("responder failed")
 		}
-		if err := ReadFrame(c.nc, &c.in); err != nil {
+		f, err := fr.ReadFrame()
+		if err != nil {
 			switch {
 			case errors.Is(err, ErrFrameTooSmall):
 				c.sendErr(0, ErrCodeMalformed, "length prefix below header size")
@@ -375,16 +378,28 @@ func (c *conn) dispatch() error {
 		}
 		c.s.framesIn.Add(1)
 		c.tel.Inc(telemetry.NetFrameIn)
-		if fatal, err := c.serve(); fatal {
+		if fatal, err := c.serve(&f); fatal {
 			return err
 		}
 	}
 }
 
-// serve executes the already-decoded request in c.in. It reports fatal
-// when the protocol requires closing the connection.
-func (c *conn) serve() (fatal bool, err error) {
-	f := &c.in
+// countingReader counts the dispatcher's Read calls on its connection
+// (net-read); net-read ÷ net-frame-in is the read syscalls per request.
+type countingReader struct {
+	r   io.Reader
+	tel *telemetry.Shard
+}
+
+func (cr countingReader) Read(p []byte) (int, error) {
+	cr.tel.Inc(telemetry.NetRead)
+	return cr.r.Read(p)
+}
+
+// serve executes the decoded request f, whose payload aliases the read
+// buffer and is not retained past the call. It reports fatal when the
+// protocol requires closing the connection.
+func (c *conn) serve(f *Frame) (fatal bool, err error) {
 	if c.s.closed.Load() {
 		c.sendErr(f.Req, ErrCodeShutdown, "server shutting down")
 		return true, errors.New("shutdown")
@@ -577,7 +592,7 @@ func (c *conn) respond() {
 		}
 		if _, err := c.nc.Write(wbuf); err != nil {
 			c.failed.Store(true)
-			c.nc.Close() // unblock a dispatcher parked in ReadFrame
+			c.nc.Close() // unblock a dispatcher parked in a read
 			// Drain remaining frames so the dispatcher never blocks on a
 			// dead responder.
 			for range c.out {

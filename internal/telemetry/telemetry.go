@@ -184,6 +184,11 @@ const (
 	// realized frame batching — the socket-path analogue of the
 	// batch-width histogram.
 	NetFrameIn
+	// NetRead counts read calls the dispatchers make on their connections
+	// (netpq/server.go:countingReader). Each reads as much of a pipelined
+	// burst as has arrived, so NetRead/NetFrameIn falls below one as
+	// clients pipeline deeper.
+	NetRead
 	// NetFrameOut counts response frames handed to connection responders
 	// (netpq/server.go:respond). In a healthy run it tracks NetFrameIn
 	// one-to-one; a persistent gap means responses are queued behind a
@@ -260,6 +265,7 @@ var counterMeta = [NumCounters]struct{ name, help string }{
 	PoolStarve:        {"pool-starve", "Acquire wait rounds with free lists empty at the cap"},
 	NetConnOpen:       {"net-conn-open", "connections accepted by the pqd service"},
 	NetFrameIn:        {"net-frame-in", "request frames decoded off connections"},
+	NetRead:           {"net-read", "read calls on connections (one per pipelined burst)"},
 	NetFrameOut:       {"net-frame-out", "response frames handed to connection responders"},
 	NetWriteStall:     {"net-write-stall", "dispatcher blocks on a full per-connection write queue"},
 	NetDrop:           {"net-drop", "connections dropped by slow-consumer eviction"},

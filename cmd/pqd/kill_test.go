@@ -10,9 +10,12 @@
 //     comes back.
 //   - lost ≤ in-flight deletes: an acknowledged insert may only go
 //     missing if an unacknowledged DeleteMin (sent, no response before
-//     the kill) popped it — the synchronous client keeps at most one
-//     operation in flight per connection, so the allowance is bounded
-//     by workers × batch.
+//     the kill) popped it. The synchronous clients keep at most one
+//     operation in flight per connection; the pipelined client keeps up
+//     to a window of them, so its allowance is the batch slots of the
+//     deletes it had in flight at the kill. Its burst of responses is
+//     committed as one, so this also checks that a pipelined
+//     acknowledgement is never sent ahead of its sync.
 //
 // The child is this test binary re-exec'd (TestMain trampoline), so the
 // test needs no separate build step and runs under -race with the
@@ -123,8 +126,8 @@ func killKey(v uint64) uint64 {
 type workerLog struct {
 	ackedIns      []pq.KV
 	ackedDel      []pq.KV
-	unackedIns    []pq.KV // the one in-flight insert batch, if any
-	unackedDelMax int     // batch size of the one in-flight delete, if any
+	unackedIns    []pq.KV // the in-flight insert batches
+	unackedDelMax int     // batch slots of the in-flight deletes
 }
 
 func replayDir(t *testing.T, dir string) []pq.KV {
@@ -148,8 +151,9 @@ func TestKillRecoverConserve(t *testing.T) {
 	for _, fam := range []string{"klsm128", "multiq-s4-b8", "linden"} {
 		t.Run(fam, func(t *testing.T) {
 			const (
-				workers = 4
+				workers = 4 // synchronous; one more worker pipelines
 				batch   = 4
+				window  = 32   // the pipelined worker's requests in flight
 				target  = 1200 // acked ops across all workers before the kill
 			)
 			dir := t.TempDir()
@@ -160,7 +164,7 @@ func TestKillRecoverConserve(t *testing.T) {
 			child, addr := spawnPQD(t, args...)
 
 			var acked atomic.Uint64
-			logs := make([]workerLog, workers)
+			logs := make([]workerLog, workers+1)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
@@ -200,6 +204,68 @@ func TestKillRecoverConserve(t *testing.T) {
 					}
 				}(w)
 			}
+
+			// The pipelined worker: fill the window, drain it to half, as
+			// pqload does, so each burst holds many mutating requests.
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				lg := &logs[w]
+				c, err := netpq.Dial(addr, qid)
+				if err != nil {
+					t.Errorf("pipelined worker dial: %v", err)
+					return
+				}
+				defer c.Close()
+				var inFlight [][]pq.KV // each request's insert batch; nil for a delete
+				seq := uint64(0)
+				defer func() { // the kill: nothing still in flight was acknowledged
+					for _, ins := range inFlight {
+						if ins == nil {
+							lg.unackedDelMax += batch
+						}
+						lg.unackedIns = append(lg.unackedIns, ins...)
+					}
+				}()
+				for i := 0; ; {
+					for ; len(inFlight) < window; i++ {
+						var err error
+						if i%4 == 3 {
+							_, err = c.StartDeleteMinN(batch)
+							inFlight = append(inFlight, nil)
+						} else {
+							ins := make([]pq.KV, batch)
+							for j := range ins {
+								v := uint64(w)<<32 | seq
+								seq++
+								ins[j] = pq.KV{Key: killKey(v), Value: v}
+							}
+							_, err = c.StartInsertN(ins)
+							inFlight = append(inFlight, ins)
+						}
+						if err != nil {
+							return
+						}
+					}
+					for len(inFlight) > window/2 {
+						r, err := c.Recv()
+						if err != nil {
+							return
+						}
+						if r.Err != nil {
+							t.Errorf("pipelined worker: %v", r.Err)
+							return
+						}
+						if inFlight[0] == nil {
+							lg.ackedDel = append(lg.ackedDel, r.KVs...)
+						} else {
+							lg.ackedIns = append(lg.ackedIns, inFlight[0]...)
+						}
+						inFlight = inFlight[1:]
+						acked.Add(1)
+					}
+				}
+			}(workers)
 
 			deadline := time.Now().Add(30 * time.Second)
 			for acked.Load() < target {

@@ -55,8 +55,7 @@ func main() {
 		preloadF = flag.String("queues", "", "comma-separated queue ids to instantiate at startup (e.g. klsm4096,linden#bids,linden#asks)")
 		static   = flag.Bool("static", false, "serve only preloaded queues; reject Hello frames naming anything else")
 		threads  = flag.Int("threads", 0, "handle-pool sizing hint per queue (0 = GOMAXPROCS)")
-		wq       = flag.Int("write-queue", 0, "per-connection response queue depth in frames (0 = default)")
-		stall    = flag.Duration("stall-timeout", 0, "slow-consumer eviction threshold (0 = default 5s)")
+		stall    = flag.Duration("stall-timeout", 0, "write deadline for a client to drain its responses before it is evicted (0 = default 5s)")
 		durableF = flag.String("durable", "", "write-ahead log `dir`: wrap every served queue durably, one subdirectory per queue id")
 		window   = flag.Duration("commit-window", 0, "durable group-commit dally window (0 = commit cohorts as they form)")
 		snapEv   = flag.Int("snap-every", 0, "durable snapshot cadence in logged ops per queue (0 = explicit/final snapshots only)")
@@ -102,7 +101,6 @@ func main() {
 		DefaultQueue: *defQ,
 		Preload:      cli.ParseList(*preloadF),
 		Static:       *static,
-		WriteQueue:   *wq,
 		StallTimeout: *stall,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "pqd: "+format+"\n", args...)

@@ -60,8 +60,8 @@ type Stats struct {
 // *commit waits*, which the op mutex does not cover.
 //
 // Operations cannot return errors (pq.Handle's contract), so a store
-// failure poisons the log sticky and surfaces from Flush-on-handle, Err,
-// and Close. After Close, operations are silent no-ops.
+// failure poisons the log sticky and surfaces from a deferring handle's
+// Commit, Err, Sync and Close. After Close, operations are silent no-ops.
 type Queue struct {
 	inner     pq.Queue
 	name      string
@@ -88,8 +88,8 @@ type Queue struct {
 	snapWG     sync.WaitGroup  // in-flight background snapshot
 	snapActive atomic.Bool     // a background snapshot is queued/running
 	nextSnap   uint64          // next snapshot index to claim
-	baseCounts map[pq.KV]int   // live multiset as of baseSeg
-	baseSeg    uint64          // first WAL segment not folded into baseCounts
+	base       liveSet         // live multiset as of baseSeg
+	baseSeg    uint64          // first WAL segment not folded into base
 	recoverSeg uint64          // segments below this came from a previous process
 	snapHook   func(SnapPhase) // test hook at snapshot phase boundaries
 
@@ -142,7 +142,7 @@ func Wrap(inner pq.Queue, opts Options) (*Queue, error) {
 		snapEvery:  opts.SnapshotEvery,
 		h:          inner.Handle(),
 		nextSnap:   st.nextSnap,
-		baseCounts: st.base,
+		base:       liveSet{items: st.base},
 		baseSeg:    st.baseSeg,
 		recoverSeg: st.nextSeg,
 	}
@@ -165,9 +165,10 @@ func Wrap(inner pq.Queue, opts Options) (*Queue, error) {
 // distinct in benchmark tables and trend diffs.
 func (q *Queue) Name() string { return q.name }
 
-// Handle implements pq.Queue. Durable handles are stateless forwarders —
-// all per-op state lives in the Queue, under its op mutex — so any number
-// of goroutines get the same durability semantics.
+// Handle implements pq.Queue. Durable handles are forwarders — all per-op
+// state lives in the Queue, under its op mutex — so any number of
+// goroutines, each with its own handle, get the same durability
+// semantics.
 func (q *Queue) Handle() pq.Handle { return &handle{q: q} }
 
 // Err reports the sticky store failure, if any.
@@ -201,30 +202,39 @@ func (q *Queue) insertN(kvs []pq.KV) (uint64, bool) {
 		return 0, false
 	}
 	pq.InsertN(q.h, kvs) // may reorder kvs; the log wants the multiset, so that's fine
-	lsn := q.w.append(recInsert, kvs)
-	q.maybeSnapshotLocked()
+	lsn := q.logLocked(recInsert, kvs)
 	q.mu.Unlock()
 	return lsn, true
 }
 
 // deleteMinN pops up to n items and logs exactly what came out; relaxed
 // inner queues pop nondeterministically, so replay re-applies the logged
-// effect rather than re-running the op.
-func (q *Queue) deleteMinN(dst []pq.KV, n int) (int, uint64, bool) {
+// effect rather than re-running the op. A pop that found nothing logs
+// nothing and returns got = 0.
+func (q *Queue) deleteMinN(dst []pq.KV, n int) (got int, lsn uint64) {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
-		return 0, 0, false
+		return 0, 0
 	}
-	got := pq.DeleteMinN(q.h, dst, n)
-	if got == 0 {
-		q.mu.Unlock()
-		return 0, 0, false // nothing changed, nothing to make durable
+	if got = pq.DeleteMinN(q.h, dst, n); got == 0 {
+		return 0, 0 // nothing changed, nothing to make durable
 	}
-	lsn := q.w.append(recDelete, dst[:got])
+	return got, q.logLocked(recDelete, dst[:got])
+}
+
+// logLocked appends the record of an op just applied to the inner queue
+// and returns its LSN. Called with q.mu held, so WAL order is op order.
+// In naive mode the record is also synced before logLocked returns.
+func (q *Queue) logLocked(kind byte, kvs []pq.KV) uint64 {
+	var lsn uint64
+	if q.w.naive {
+		lsn = q.w.logNaive(kind, kvs)
+	} else {
+		lsn = q.w.append(kind, kvs)
+	}
 	q.maybeSnapshotLocked()
-	q.mu.Unlock()
-	return got, lsn, true
+	return lsn
 }
 
 // maybeSnapshotLocked triggers the periodic snapshot. Called with q.mu
@@ -318,27 +328,30 @@ func (q *Queue) Close() error {
 }
 
 // handle forwards to the Queue. Implements the full capability set so
-// cpq.Flush/PeekMin/InsertN/DeleteMinN all behave.
+// cpq.Flush/PeekMin/InsertN/DeleteMinN all behave, plus pq.Committer.
+// All per-op state lives in the Queue, under its op mutex; a handle owns
+// only its commit deferral, which is why, like any pq.Handle, it must
+// not be shared between goroutines.
 type handle struct {
-	q *Queue
+	q        *Queue
+	deferred bool   // DeferCommit ran and no Flush since: Commit owns the wait
+	lsn      uint64 // newest record logged under deferral and not yet committed
+}
+
+// settle finishes a logged op: it waits until the record at lsn is
+// durable or, after DeferCommit, leaves that wait to the next Commit.
+// A naive log synced the record inside the op already.
+func (h *handle) settle(lsn uint64) {
+	if h.deferred {
+		h.lsn = lsn
+	} else if !h.q.w.naive {
+		h.q.w.commitWait(lsn)
+	}
 }
 
 // Insert implements pq.Handle.
 func (h *handle) Insert(key, value uint64) {
 	q := h.q
-	if q.w.naive {
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			return
-		}
-		q.one[0] = pq.KV{Key: key, Value: value}
-		q.h.Insert(key, value)
-		q.w.logNaive(recInsert, q.one[:])
-		q.maybeSnapshotLocked()
-		q.mu.Unlock()
-		return
-	}
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -346,15 +359,15 @@ func (h *handle) Insert(key, value uint64) {
 	}
 	q.one[0] = pq.KV{Key: key, Value: value}
 	q.h.Insert(key, value)
-	lsn := q.w.append(recInsert, q.one[:])
-	q.maybeSnapshotLocked()
+	lsn := q.logLocked(recInsert, q.one[:])
 	q.mu.Unlock()
-	q.w.commitWait(lsn)
+	h.settle(lsn)
 }
 
 // DeleteMin implements pq.Handle. The popped pair is logged before the
-// caller sees it: by the time DeleteMin returns, the removal is durable —
-// a restart cannot resurrect an acknowledged item.
+// caller sees it: by the time DeleteMin returns (or, after DeferCommit,
+// by the time the next Commit returns nil), the removal is durable — a
+// restart cannot resurrect an acknowledged item.
 func (h *handle) DeleteMin() (key, value uint64, ok bool) {
 	q := h.q
 	q.mu.Lock()
@@ -368,86 +381,64 @@ func (h *handle) DeleteMin() (key, value uint64, ok bool) {
 		return 0, 0, false
 	}
 	q.one[0] = pq.KV{Key: k, Value: v}
-	if q.w.naive {
-		q.w.logNaive(recDelete, q.one[:])
-		q.maybeSnapshotLocked()
-		q.mu.Unlock()
-		return k, v, true
-	}
-	lsn := q.w.append(recDelete, q.one[:])
-	q.maybeSnapshotLocked()
+	lsn := q.logLocked(recDelete, q.one[:])
 	q.mu.Unlock()
-	q.w.commitWait(lsn)
+	h.settle(lsn)
 	return k, v, true
 }
 
 // InsertN implements pq.BatchInserter: one WAL record, one commit ticket
 // for the whole batch.
 func (h *handle) InsertN(kvs []pq.KV) {
-	if len(kvs) == 0 {
-		return
-	}
-	q := h.q
 	for off := 0; off < len(kvs); off += maxBatch {
-		end := min(off+maxBatch, len(kvs))
-		if q.w.naive {
-			q.mu.Lock()
-			if q.closed {
-				q.mu.Unlock()
-				return
-			}
-			pq.InsertN(q.h, kvs[off:end])
-			q.w.logNaive(recInsert, kvs[off:end])
-			q.maybeSnapshotLocked()
-			q.mu.Unlock()
-			continue
-		}
-		lsn, ok := q.insertN(kvs[off:end])
+		lsn, ok := h.q.insertN(kvs[off:min(off+maxBatch, len(kvs))])
 		if !ok {
 			return
 		}
-		q.w.commitWait(lsn)
+		h.settle(lsn)
 	}
 }
 
 // DeleteMinN implements pq.BatchDeleter.
 func (h *handle) DeleteMinN(dst []pq.KV, n int) int {
-	if n > len(dst) {
-		n = len(dst)
-	}
-	if n > maxBatch {
-		n = maxBatch
-	}
-	if n == 0 {
+	n = min(n, len(dst), maxBatch)
+	if n <= 0 {
 		return 0
 	}
-	q := h.q
-	if q.w.naive {
-		q.mu.Lock()
-		if q.closed {
-			q.mu.Unlock()
-			return 0
-		}
-		got := pq.DeleteMinN(q.h, dst, n)
-		if got > 0 {
-			q.w.logNaive(recDelete, dst[:got])
-			q.maybeSnapshotLocked()
-		}
-		q.mu.Unlock()
-		return got
+	got, lsn := h.q.deleteMinN(dst, n)
+	if got > 0 {
+		h.settle(lsn)
 	}
-	got, lsn, ok := q.deleteMinN(dst, n)
-	if !ok {
-		return 0
-	}
-	q.w.commitWait(lsn)
 	return got
+}
+
+// DeferCommit implements pq.Committer: until the next Flush, mutating
+// calls return once their record is logged, and Commit waits for them.
+func (h *handle) DeferCommit() { h.deferred = true }
+
+// Commit implements pq.Committer. It waits on the newest record the
+// handle logged since its last successful Commit, so every record before
+// it, from this handle or any other, rides the same group commit. A
+// non-nil error is the log's sticky failure: those records will never be
+// durable.
+func (h *handle) Commit() error {
+	if h.lsn == 0 {
+		return nil
+	}
+	if err := h.q.w.commitWait(h.lsn); err != nil {
+		return err
+	}
+	h.lsn = 0
+	return nil
 }
 
 // Flush implements pq.Flusher: publish inner buffers and make the log
 // durable — the handle-level graceful-drain hook harnesses already call.
+// It also ends a DeferCommit, so a handle a pool releases (and flushes)
+// goes back with the default contract.
 func (h *handle) Flush() {
 	q := h.q
+	h.deferred, h.lsn = false, 0
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()

@@ -501,3 +501,77 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Fatal("two replays of the same store serialized differently")
 	}
 }
+
+// heldSyncStore holds every Sync until release is closed.
+type heldSyncStore struct {
+	kv.Store
+	release chan struct{}
+}
+
+func (s heldSyncStore) Sync() error {
+	<-s.release
+	return s.Store.Sync()
+}
+
+// TestDeferredCommit pins the pq.Committer contract of durable handles:
+// by default a mutating call returns only once its record is synced;
+// after DeferCommit it returns once the record is logged, and Commit
+// waits for the sync; Flush ends the deferral.
+func TestDeferredCommit(t *testing.T) {
+	store := heldSyncStore{kv.NewInmem(), make(chan struct{})}
+	q, err := durable.Wrap(newInner(t, "linden"), durable.Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	returned := func(f func()) <-chan struct{} {
+		done := make(chan struct{})
+		go func() { f(); close(done) }()
+		return done
+	}
+	blocked := func(done <-chan struct{}) bool {
+		select {
+		case <-done:
+			return false
+		case <-time.After(100 * time.Millisecond):
+			return true
+		}
+	}
+	kvs := []pq.KV{{Key: 1, Value: 1}, {Key: 2, Value: 2}}
+
+	// Deferred: the op and a delete return before the sync; Commit waits.
+	h := q.Handle()
+	pq.DeferCommit(h)
+	pq.InsertN(h, kvs)
+	dst := make([]pq.KV, 1)
+	if got := pq.DeleteMinN(h, dst, 1); got != 1 {
+		t.Fatalf("deferred delete got %d items", got)
+	}
+	var commitErr error
+	committed := returned(func() { commitErr = pq.Commit(h) })
+	if !blocked(committed) {
+		t.Fatal("Commit returned while the sync was held")
+	}
+	close(store.release)
+	<-committed
+	if commitErr != nil {
+		t.Fatal(commitErr)
+	}
+	before := q.Stats()
+	if err := pq.Commit(h); err != nil || q.Stats() != before {
+		t.Fatalf("a Commit with nothing logged did work: err %v, %+v -> %+v", err, before, q.Stats())
+	}
+
+	// Default contract, and again after Flush ends the deferral: each
+	// call returns only after an fsync of its own.
+	for _, hh := range []pq.Handle{q.Handle(), h} {
+		pq.Flush(hh)
+		before := q.Stats().Fsyncs
+		pq.InsertN(hh, kvs)
+		if q.Stats().Fsyncs == before {
+			t.Fatal("an undeferred InsertN returned before its fsync")
+		}
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

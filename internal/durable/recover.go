@@ -1,9 +1,10 @@
 package durable
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cpq/internal/durable/kv"
 	"cpq/internal/pq"
@@ -12,68 +13,98 @@ import (
 // recoveredState is what a store replay yields: the exact live multiset,
 // plus the bookkeeping the reopened queue continues from.
 type recoveredState struct {
-	items    []pq.KV       // live set, sorted (key, then value) — deterministic
-	nextSeg  uint64        // first segment index the new WAL may write
-	nextSnap uint64        // next snapshot index to use
-	base     map[pq.KV]int // live multiset as of baseSeg (the snapshot base)
-	baseSeg  uint64        // first segment NOT folded into base
+	items    []pq.KV // live set, sorted (key, then value) — deterministic
+	nextSeg  uint64  // first segment index the new WAL may write
+	nextSnap uint64  // next snapshot index to use
+	base     []pq.KV // live multiset as of baseSeg (the snapshot base), sorted
+	baseSeg  uint64  // first segment NOT folded into base
+}
+
+// segmentRecords walks one WAL segment's operation records in log order,
+// handing fn each insert batch (del = false) and delete batch.
+// Snapshot-begin markers are replay-inert; partial-snapshot chunks never
+// legally appear inside a WAL segment. Recovery and the snapshot fold
+// both read segments through it, so the two can never disagree about
+// what a segment means.
+func segmentRecords(data []byte, segIdx uint64, fn func(del bool, kvs []pq.KV) error) error {
+	return decodeRecords(data, func(kind byte, kvs []pq.KV) error {
+		switch kind {
+		case recInsert, recDelete:
+			return fn(kind == recDelete, kvs)
+		case recSnapBegin:
+			return nil // forensic marker; the snapshot's effect lives in the manifest
+		default:
+			return fmt.Errorf("%w: partial-snapshot chunk inside WAL segment %d", ErrCorrupt, segIdx)
+		}
+	})
 }
 
 // applySegRecords folds one WAL segment's records into counts. The
 // recovery invariant (DESIGN.md §8d): records were appended under the
 // queue's op mutex, so log order is operation order and a delete always
 // follows the insert that produced its item — a negative count proves
-// corruption, not reordering. Snapshot-begin markers are replay-inert;
-// partial-snapshot chunks never legally appear inside a WAL segment.
+// corruption, not reordering.
 func applySegRecords(data []byte, segIdx uint64, counts map[pq.KV]int) error {
-	return decodeRecords(data, func(kind byte, kvs []pq.KV) error {
-		switch kind {
-		case recInsert:
-			for _, it := range kvs {
+	return segmentRecords(data, segIdx, func(del bool, kvs []pq.KV) error {
+		for _, it := range kvs {
+			if !del {
 				counts[it]++
+				continue
 			}
-		case recDelete:
-			for _, it := range kvs {
-				counts[it]--
-				if counts[it] < 0 {
-					return fmt.Errorf("%w: delete of (%d,%d) with no matching insert in segment %d",
-						ErrCorrupt, it.Key, it.Value, segIdx)
-				}
-				if counts[it] == 0 {
-					delete(counts, it)
-				}
+			counts[it]--
+			if counts[it] < 0 {
+				return fmt.Errorf("%w: delete of (%d,%d) with no matching insert in segment %d",
+					ErrCorrupt, it.Key, it.Value, segIdx)
 			}
-		case recSnapBegin:
-			// Forensic marker; the snapshot's effect lives in the manifest.
-		default:
-			return fmt.Errorf("%w: partial-snapshot chunk inside WAL segment %d", ErrCorrupt, segIdx)
+			if counts[it] == 0 {
+				delete(counts, it)
+			}
 		}
 		return nil
 	})
 }
 
-// foldSegments folds the WAL segments in [from, to) into counts, in
-// order. Segments below tornOK may legally end in a torn record (they
-// were recovered from a previous process, whose final unsynced append a
-// crash could truncate); the torn record was never acknowledged, so it
-// is dropped. A torn record in a segment this process sealed — or a
-// missing segment in the range — is corruption. The concurrent
-// snapshotter uses this over its frozen prefix; recovery uses the same
-// fold so the two can never disagree about what a segment means.
-func foldSegments(store kv.Store, from, to uint64, counts map[pq.KV]int, tornOK uint64) error {
+// liveSet is the snapshotter's cached live multiset: a sorted slice of
+// items, advanced one frozen segment range at a time, plus the scratch
+// the advance reuses. A sorted slice rather than a map from item to
+// count: it is a third the size of a fresh map, it does not grow under
+// the churn of folding (a map's deleted slots keep it growing), it is
+// updated in place, and the snapshot writes it out chunk by chunk
+// without building a sorted copy.
+type liveSet struct {
+	items    []pq.KV // sorted by (key, value)
+	ins, del []pq.KV // scratch: the folded range's inserts and deletes
+}
+
+// fold advances the set over the WAL segments in [from, to): their
+// inserted pairs merged in, their deleted pairs taken out. A delete must
+// match an item of the set or of the folded inserts; one that matches
+// nothing is corruption. Segments below tornOK may legally end in a torn
+// record (they were recovered from a previous process, whose final
+// unsynced append a crash could truncate); the torn record was never
+// acknowledged, so it is dropped. A torn record in a segment this
+// process sealed is corruption. A missing segment holds no records:
+// rotation can skip creating a segment that never received a synced
+// byte (a seal cuts to a fresh segment that the next seal may
+// immediately supersede). On error the set is unchanged.
+func (ls *liveSet) fold(store kv.Store, from, to, tornOK uint64) error {
+	ins, del := ls.ins[:0], ls.del[:0]
 	for idx := from; idx < to; idx++ {
 		data, found, err := store.Get(segKey(idx))
 		if err != nil {
 			return err
 		}
 		if !found {
-			// Rotation can skip creating a segment that never received a
-			// synced byte (a seal cuts to a fresh segment that the next
-			// seal may immediately supersede). An absent segment holds no
-			// records; it cannot change the fold.
 			continue
 		}
-		err = applySegRecords(data, idx, counts)
+		err = segmentRecords(data, idx, func(isDel bool, kvs []pq.KV) error {
+			if isDel {
+				del = append(del, kvs...)
+			} else {
+				ins = append(ins, kvs...)
+			}
+			return nil
+		})
 		if errors.Is(err, ErrTorn) && idx < tornOK {
 			err = nil // legal torn tail: unacknowledged final record dropped
 		}
@@ -81,7 +112,67 @@ func foldSegments(store kv.Store, from, to uint64, counts map[pq.KV]int, tornOK 
 			return fmt.Errorf("WAL segment %d: %w", idx, err)
 		}
 	}
+	ls.ins, ls.del = ins, del // keep the grown scratch for the next fold
+	slices.SortFunc(ins, cmpKV)
+	slices.SortFunc(del, cmpKV)
+
+	// Check every delete against the set and the inserts before changing
+	// either: walk the three sorted runs together.
+	items := ls.items
+	for i, j, d := 0, 0, 0; d < len(del); d++ {
+		for i < len(items) && cmpKV(items[i], del[d]) < 0 {
+			i++
+		}
+		for j < len(ins) && cmpKV(ins[j], del[d]) < 0 {
+			j++
+		}
+		switch {
+		case i < len(items) && items[i] == del[d]:
+			i++
+		case j < len(ins) && ins[j] == del[d]:
+			j++
+		default:
+			return fmt.Errorf("%w: delete of (%d,%d) with no matching insert in WAL segments [%d,%d)",
+				ErrCorrupt, del[d].Key, del[d].Value, from, to)
+		}
+	}
+	// Take the deletes out of both runs in place, the same way, then
+	// merge the surviving inserts into the set from the back.
+	items, ins = removeSorted(items, ins, del)
+	n, i := len(items)+len(ins), len(items)-1
+	items = slices.Grow(items, len(ins))[:n]
+	for j, k := len(ins)-1, n-1; j >= 0; k-- {
+		if i >= 0 && cmpKV(items[i], ins[j]) > 0 {
+			items[k], i = items[i], i-1
+		} else {
+			items[k], j = ins[j], j-1
+		}
+	}
+	ls.items = items
 	return nil
+}
+
+// removeSorted takes one occurrence of each del pair out of a ∪ b, all
+// three sorted, compacting a and b in place; a pair in both goes from a.
+// Every del pair must occur (fold checks this first).
+func removeSorted(a, b, del []pq.KV) ([]pq.KV, []pq.KV) {
+	var ar, aw, br, bw int
+	for _, d := range del {
+		for ar < len(a) && cmpKV(a[ar], d) < 0 {
+			a[aw], aw, ar = a[ar], aw+1, ar+1
+		}
+		for br < len(b) && cmpKV(b[br], d) < 0 {
+			b[bw], bw, br = b[br], bw+1, br+1
+		}
+		if ar < len(a) && a[ar] == d {
+			ar++
+		} else {
+			br++
+		}
+	}
+	aw += copy(a[aw:], a[ar:])
+	bw += copy(b[bw:], b[br:])
+	return a[:aw], b[:bw]
 }
 
 // decodePart validates and expands one partial snapshot: a sequence of
@@ -89,29 +180,26 @@ func foldSegments(store kv.Store, from, to uint64, counts map[pq.KV]int, tornOK 
 // Parts are synced before their manifest commits, so under a committed
 // manifest there is no legal torn state — any decode failure is
 // corruption.
-func decodePart(data []byte, wantCount uint64, counts map[pq.KV]int) error {
-	var got uint64
+func decodePart(data []byte, wantCount uint64) ([]pq.KV, error) {
+	var items []pq.KV
 	err := decodeRecords(data, func(kind byte, kvs []pq.KV) error {
 		if kind != recSnapChunk {
 			return fmt.Errorf("%w: record kind %d inside a partial snapshot", ErrCorrupt, kind)
 		}
-		for _, it := range kvs {
-			counts[it]++
-		}
-		got += uint64(len(kvs))
+		items = append(items, kvs...)
 		return nil
 	})
 	if err != nil {
 		if errors.Is(err, ErrTorn) {
-			return fmt.Errorf("%w: torn partial snapshot under a committed manifest", ErrCorrupt)
+			return nil, fmt.Errorf("%w: torn partial snapshot under a committed manifest", ErrCorrupt)
 		}
-		return err
+		return nil, err
 	}
-	if got != wantCount {
-		return fmt.Errorf("%w: partial snapshot holds %d pairs, manifest says %d",
+	if got := uint64(len(items)); got != wantCount {
+		return nil, fmt.Errorf("%w: partial snapshot holds %d pairs, manifest says %d",
 			ErrCorrupt, got, wantCount)
 	}
-	return nil
+	return items, nil
 }
 
 // replayStore reconstructs the live set from a store: the newest
@@ -126,7 +214,6 @@ func decodePart(data []byte, wantCount uint64, counts map[pq.KV]int) error {
 // their manifest — so a fresh snapshot never appends onto a torn orphan.
 func replayStore(store kv.Store) (recoveredState, error) {
 	var st recoveredState
-	counts := make(map[pq.KV]int)
 
 	manifests, err := store.List("manifest/")
 	if err != nil {
@@ -173,7 +260,7 @@ func replayStore(store kv.Store) (recoveredState, error) {
 				return st, fmt.Errorf("%w: manifest %s committed but its part is missing",
 					ErrCorrupt, manifests[i])
 			}
-		} else if err := decodePart(part, count, counts); err != nil {
+		} else if st.base, err = decodePart(part, count); err != nil {
 			return st, fmt.Errorf("part %s: %w", partKey(idx), err)
 		}
 		st.nextSeg = nextSeg
@@ -181,11 +268,14 @@ func replayStore(store kv.Store) (recoveredState, error) {
 	}
 	// The base multiset — the live set as of nextSeg — seeds the
 	// reopened queue's incremental snapshot cache, so the first snapshot
-	// of the new process only folds the tail, not history.
+	// of the new process only folds the tail, not history. Snapshots
+	// write their parts sorted; sorting again costs one pass over sorted
+	// input and keeps the fold's merge correct whatever the part holds.
 	st.baseSeg = st.nextSeg
-	st.base = make(map[pq.KV]int, len(counts))
-	for it, c := range counts {
-		st.base[it] = c
+	slices.SortFunc(st.base, cmpKV)
+	counts := make(map[pq.KV]int, len(st.base))
+	for _, it := range st.base {
+		counts[it]++
 	}
 
 	segs, err := store.List("wal/")
@@ -198,7 +288,7 @@ func replayStore(store kv.Store) (recoveredState, error) {
 			live = append(live, i)
 		}
 	}
-	sort.Slice(live, func(a, b int) bool { return live[a] < live[b] })
+	slices.Sort(live)
 
 	for n, idx := range live {
 		data, found, err := store.Get(segKey(idx))
@@ -235,4 +325,26 @@ func ReplayStore(store kv.Store) ([]pq.KV, error) {
 		return nil, err
 	}
 	return st.items, nil
+}
+
+// flattenCounts expands a live multiset into the deterministic sorted
+// item slice every consumer of recovery state relies on.
+func flattenCounts(counts map[pq.KV]int) []pq.KV {
+	items := make([]pq.KV, 0, len(counts))
+	for it, c := range counts {
+		for j := 0; j < c; j++ {
+			items = append(items, it)
+		}
+	}
+	slices.SortFunc(items, cmpKV)
+	return items
+}
+
+// cmpKV orders pairs by key, then value: the order of every sorted item
+// slice in this package.
+func cmpKV(a, b pq.KV) int {
+	if c := cmp.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Value, b.Value)
 }

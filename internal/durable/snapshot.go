@@ -4,13 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"strconv"
 	"strings"
 
 	"cpq/internal/chaos"
 	"cpq/internal/durable/kv"
-	"cpq/internal/pq"
 	"cpq/internal/telemetry"
 )
 
@@ -19,10 +17,10 @@ import (
 // A snapshot no longer touches the inner queue at all. The snapshotter
 // seals the WAL — cutting a fresh segment, so everything below the cut
 // is a frozen, fully-synced operation prefix — and computes the live set
-// *of that prefix* by folding the frozen segments into a cached multiset
-// (baseCounts) that persists between snapshots, so each snapshot only
-// reads the segments written since the previous one. The result is
-// written as chunked partial-snapshot records under "part/%016x",
+// *of that prefix* by folding the frozen segments into a cached sorted
+// multiset (base) that persists between snapshots, so each snapshot only
+// reads the segments written since the previous one. The base itself is
+// written, chunk by chunk, as partial-snapshot records under "part/%016x",
 // concurrently with live traffic appending to segments at and above the
 // cut, then committed with one atomic manifest write and truncated.
 // Producers never park for more than one group-commit window: the only
@@ -107,24 +105,6 @@ func decodeManifest(data []byte) (nextSeg, count uint64, err error) {
 	return binary.BigEndian.Uint64(body), binary.BigEndian.Uint64(body[8:]), nil
 }
 
-// flattenCounts expands a live multiset into the deterministic sorted
-// item slice every consumer of recovery state relies on.
-func flattenCounts(counts map[pq.KV]int) []pq.KV {
-	items := make([]pq.KV, 0, len(counts))
-	for it, c := range counts {
-		for j := 0; j < c; j++ {
-			items = append(items, it)
-		}
-	}
-	sort.Slice(items, func(a, b int) bool {
-		if items[a].Key != items[b].Key {
-			return items[a].Key < items[b].Key
-		}
-		return items[a].Value < items[b].Value
-	})
-	return items
-}
-
 // takeSnapshot runs one concurrent incremental snapshot. Callers hold
 // q.snapMu (one snapshotter at a time) and never q.mu — producers run
 // freely throughout. Errors poison the WAL sticky, exactly like a failed
@@ -143,20 +123,20 @@ func (q *Queue) takeSnapshot() {
 	// base multiset. Only segments recovered from a previous process may
 	// legally end torn (their tear predates this process's first sync);
 	// anything this process sealed is complete or the store is lying.
-	if err := foldSegments(q.store, q.baseSeg, cut, q.baseCounts, q.recoverSeg); err != nil {
+	if err := q.base.fold(q.store, q.baseSeg, cut, q.recoverSeg); err != nil {
 		q.poison(err)
 		return
 	}
 	q.baseSeg = cut
-	items := flattenCounts(q.baseCounts)
+	base := q.base.items
 
-	// Write the chunked part concurrently with live traffic. Each chunk
-	// is one WAL-framed kind-4 record appended to the part key.
+	// Write the chunked part concurrently with live traffic, straight out
+	// of the sorted base: each chunk is one WAL-framed kind-4 record
+	// appended to the part key, and no copy of the live set is built.
 	pk := partKey(snapIdx)
 	var chunkBuf []byte
-	for off := 0; off < len(items); off += snapChunkItems {
-		end := min(off+snapChunkItems, len(items))
-		chunkBuf = appendRecord(chunkBuf[:0], recSnapChunk, items[off:end])
+	for off := 0; off < len(base); off += snapChunkItems {
+		chunkBuf = appendRecord(chunkBuf[:0], recSnapChunk, base[off:min(off+snapChunkItems, len(base))])
 		if err := q.store.Append(pk, chunkBuf); err != nil {
 			q.poison(err)
 			return
@@ -168,7 +148,7 @@ func (q *Queue) takeSnapshot() {
 			q.snapPhase(SnapChunk)
 		}
 	}
-	if len(items) > 0 {
+	if len(base) > 0 {
 		// Make the chunks durable before the manifest can reference them.
 		// This Sync may interleave with a commit leader's — harmless: the
 		// store serializes barriers, and an extra fsync of the live WAL
@@ -183,7 +163,7 @@ func (q *Queue) takeSnapshot() {
 
 	// The commit point: one atomic manifest write.
 	err = q.store.Update(func(tx kv.Tx) error {
-		tx.Set(manifestKey(snapIdx), encodeManifest(cut, uint64(len(items))))
+		tx.Set(manifestKey(snapIdx), encodeManifest(cut, uint64(len(base))))
 		return nil
 	})
 	if err != nil {

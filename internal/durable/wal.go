@@ -312,25 +312,26 @@ func (w *wal) maybeRotateLocked() {
 	w.segSize = 0
 }
 
-// logNaive appends one record and synchronously makes it durable — the
-// fsync-per-op baseline. Callers hold the owning Queue's op mutex for the
-// whole call, so the log is strictly serial and every op pays its own
-// fsync; no cohort forms. That serialization is the cost group commit
-// exists to remove.
+// logNaive appends one record, synchronously makes it durable — the
+// fsync-per-op baseline — and returns its LSN. A failed sync poisons the
+// log, so commitWait on that LSN reports the failure. Callers hold the
+// owning Queue's op mutex for the whole call, so the log is strictly
+// serial and every op pays its own fsync; no cohort forms. That
+// serialization is the cost group commit exists to remove.
 //
 // It still honors the leading protocol: the concurrent snapshotter's
 // seal runs without the op mutex, so without the flag a naive op's
 // append+sync could interleave with a seal's claim of the same buffer
 // and land bytes in the wrong segment or out of LSN order.
-func (w *wal) logNaive(kind byte, kvs []pq.KV) error {
+func (w *wal) logNaive(kind byte, kvs []pq.KV) uint64 {
 	w.mu.Lock()
 	for w.leading { // wait out a concurrent seal
 		w.cond.Wait()
 	}
 	if w.err != nil {
-		err := w.err
+		lsn := w.appended + 1 // never logged; commitWait on it reports w.err
 		w.mu.Unlock()
-		return err
+		return lsn
 	}
 	w.leading = true
 	w.pending = appendRecord(w.pending, kind, kvs)
@@ -357,7 +358,7 @@ func (w *wal) logNaive(kind byte, kvs []pq.KV) error {
 	}
 	w.cond.Broadcast()
 	w.mu.Unlock()
-	return err
+	return target
 }
 
 // barrier makes everything appended so far durable (graceful-drain path).

@@ -1,10 +1,13 @@
 package durable
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"cpq/internal/durable/kv"
 	"cpq/internal/pq"
+	"cpq/internal/rng"
 	"cpq/internal/telemetry"
 )
 
@@ -161,5 +164,67 @@ func TestAppendPathAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("append path allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestLiveSetFold checks the snapshot fold's in-place merge against a
+// map-counted multiset over random insert/delete logs with duplicates,
+// and that a delete matching nothing is corruption that leaves the set
+// unchanged.
+func TestLiveSetFold(t *testing.T) {
+	r := rng.New(7)
+	item := func() pq.KV { k := r.Uint64() % 64; return pq.KV{Key: k, Value: k % 3} }
+	var ls liveSet
+	live := map[pq.KV]int{}
+	for seg := uint64(0); seg < 40; seg++ {
+		store := kv.NewInmem()
+		var buf []byte
+		for rec := 0; rec < 1+int(r.Uint64()%6); rec++ {
+			kind, kvs := byte(recInsert), make([]pq.KV, 1+r.Uint64()%5)
+			if r.Uint64()%2 == 0 && len(live) > 0 {
+				kind = recDelete
+				kvs = kvs[:0]
+				for it, c := range live { // delete up to 4 live items
+					if len(kvs) == 4 {
+						break
+					}
+					for ; c > 0 && len(kvs) < 4; c-- {
+						kvs = append(kvs, it)
+					}
+				}
+				for _, it := range kvs {
+					if live[it]--; live[it] == 0 {
+						delete(live, it)
+					}
+				}
+			} else {
+				for i := range kvs {
+					kvs[i] = item()
+					live[kvs[i]]++
+				}
+			}
+			buf = appendRecord(buf, kind, kvs)
+		}
+		if err := store.Append(segKey(seg), buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.fold(store, seg, seg+1, 0); err != nil {
+			t.Fatalf("segment %d: %v", seg, err)
+		}
+		if want := flattenCounts(live); !slices.Equal(ls.items, want) {
+			t.Fatalf("segment %d: fold holds %v, want %v", seg, ls.items, want)
+		}
+	}
+
+	before := slices.Clone(ls.items)
+	store := kv.NewInmem()
+	if err := store.Append(segKey(0), appendRecord(nil, recDelete, []pq.KV{{Key: 1 << 40, Value: 0}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.fold(store, 0, 1, 0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("unmatched delete folded with err %v", err)
+	}
+	if !slices.Equal(ls.items, before) {
+		t.Fatal("a failed fold changed the set")
 	}
 }

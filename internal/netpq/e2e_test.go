@@ -24,11 +24,13 @@ import (
 
 func newLoopbackServer(t *testing.T, opts netpq.Options) (*netpq.Server, string) {
 	t.Helper()
-	opts.NewQueue = func(spec, _ string, threads int) (pq.Queue, error) {
-		if threads < 16 {
-			threads = 16 // worker conns + drain conn headroom
+	if opts.NewQueue == nil {
+		opts.NewQueue = func(spec, _ string, threads int) (pq.Queue, error) {
+			if threads < 16 {
+				threads = 16 // worker conns + drain conn headroom
+			}
+			return cpq.NewQueue(spec, cpq.Options{Threads: threads})
 		}
-		return cpq.NewQueue(spec, cpq.Options{Threads: threads})
 	}
 	srv, err := netpq.NewServer(opts)
 	if err != nil {
@@ -61,7 +63,7 @@ func TestEndToEndConservation(t *testing.T) {
 	)
 	for _, spec := range []string{"multiq-s4-b8", "klsm128", "linden"} {
 		t.Run(spec, func(t *testing.T) {
-			_, addr := newLoopbackServer(t, netpq.Options{WriteQueue: 8})
+			_, addr := newLoopbackServer(t, netpq.Options{})
 			queueID := spec + "#e2e"
 
 			deleted := make([][]pq.KV, workers)
@@ -438,14 +440,12 @@ func TestServerReadsPipelinedBurstAtOnce(t *testing.T) {
 // that sends requests but never reads responses must eventually be
 // evicted (net-drop), not anchor server memory forever. Small responses
 // can drip through the jammed socket as the kernel frees bytes, so the
-// pump requests max-batch deletes of a prefilled queue: a 16 KiB
-// response frame cannot complete through a zero-window trickle, the
-// responder write blocks, the bounded queue fills, and one enqueue
-// finally exceeds the stall timeout.
+// pump requests max-batch deletes of a prefilled queue: a burst of 16 KiB
+// response frames cannot complete through a zero-window trickle, so its
+// write waits (a stall) and finally exceeds the stall timeout.
 func TestSlowConsumerEviction(t *testing.T) {
 	srv, addr := newLoopbackServer(t, netpq.Options{
 		DefaultQueue: "globallock",
-		WriteQueue:   2,
 		StallTimeout: 200 * time.Millisecond,
 	})
 	nc, err := net.Dial("tcp", addr)
@@ -506,4 +506,106 @@ func TestSlowConsumerEviction(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("no eviction after 15s: stats %+v", srv.Stats())
+}
+
+// TestCloseWhileDialing pins Close against a stream of new connections:
+// every conn Serve accepts is either registered before Close closes the
+// registered set or closed by Serve itself, so Close returns, and no
+// handler — parked in a read on a client that never sends — outlives it.
+func TestCloseWhileDialing(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		srv, err := netpq.NewServer(netpq.Options{
+			NewQueue: func(spec, _ string, threads int) (pq.Queue, error) {
+				return cpq.NewQueue(spec, cpq.Options{Threads: 4})
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(ln) }()
+
+		var (
+			mu    sync.Mutex
+			conns []net.Conn
+			stop  atomic.Bool
+			wg    sync.WaitGroup
+		)
+		for d := 0; d < 2; d++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					nc, err := net.Dial("tcp", ln.Addr().String())
+					if err != nil {
+						return // the listener is closed
+					}
+					mu.Lock()
+					conns = append(conns, nc) // silent: never sends a byte
+					mu.Unlock()
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%5) * time.Millisecond)
+		closed := make(chan struct{})
+		go func() {
+			srv.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Close did not return", round)
+		}
+		time.Sleep(10 * time.Millisecond) // a stranded handler would have started by now
+		if st := srv.Stats(); st.ConnsActive != 0 {
+			t.Fatalf("round %d: %d handlers outlived Close (%d conns opened)", round, st.ConnsActive, st.ConnsOpened)
+		}
+		stop.Store(true)
+		wg.Wait()
+		if err := <-served; err != nil {
+			t.Fatalf("round %d: Serve: %v", round, err)
+		}
+		for _, nc := range conns {
+			nc.Close()
+		}
+	}
+}
+
+// TestServeAfterClose pins the other order: a Serve that starts after
+// Close returns at once and closes its listener, rather than accepting
+// and dropping connections forever.
+func TestServeAfterClose(t *testing.T) {
+	srv, err := netpq.NewServer(netpq.Options{
+		NewQueue: func(spec, _ string, threads int) (pq.Queue, error) {
+			return cpq.NewQueue(spec, cpq.Options{Threads: 4})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve after Close did not return")
+	}
+	if nc, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+		nc.Close()
+		t.Fatal("the listener still accepts after Serve returned")
+	}
 }

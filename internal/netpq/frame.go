@@ -245,6 +245,15 @@ func (fr *FrameReader) ReadFrame() (Frame, error) {
 	}
 }
 
+// Buffered reports whether ReadFrame would return without reading the
+// stream: a whole frame, a framing error or the stream's end is already
+// in hand. When it is false the next ReadFrame reads, and that read may
+// block.
+func (fr *FrameReader) Buffered() bool {
+	_, _, err := DecodeFrame(fr.buf[fr.start:fr.end])
+	return err != ErrTruncated || fr.err != nil
+}
+
 // AppendKVs appends the wire encoding of kvs (16 bytes per pair, key then
 // value, big-endian) to dst.
 func AppendKVs(dst []byte, kvs []pq.KV) []byte {

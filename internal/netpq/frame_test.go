@@ -250,6 +250,24 @@ func TestFrameReaderOneReadPerBurst(t *testing.T) {
 	if cr.reads != 2 {
 		t.Fatalf("%d reads for a 32-frame burst, want 2", cr.reads)
 	}
+
+	// Buffered is false exactly before the ReadFrame calls that read: the
+	// first, and the one after the burst's last frame.
+	cr = &countReader{r: bytes.NewReader(wire)}
+	fr := NewFrameReader(cr)
+	for i := 0; ; i++ {
+		buffered, before := fr.Buffered(), cr.reads
+		_, err := fr.ReadFrame()
+		if read := cr.reads > before; read == buffered {
+			t.Fatalf("call %d: Buffered() = %v but ReadFrame read = %v", i, buffered, read)
+		}
+		if err != nil {
+			if err != io.EOF || i != len(frames) {
+				t.Fatalf("call %d: err = %v, want io.EOF after %d frames", i, err, len(frames))
+			}
+			break
+		}
+	}
 }
 
 // TestFrameReaderSplitStream feeds the same frames through readers that

@@ -1,17 +1,22 @@
-// Server: the pqd service loop. Each connection is split into a
-// dispatcher (read, decode, execute against a pq.Pool-acquired handle,
-// encode) and a responder (drain a bounded queue of encoded frames onto
-// the socket) — the buffered-responder split of the matching-engine
-// lineage this service is modeled on. The split buys two things:
+// Server: the pqd service loop. Each connection is served by one
+// goroutine that works in bursts: it executes every request the
+// connection's FrameReader already holds against a pq.Pool-acquired
+// handle, appending each response to one write buffer, and only when the
+// next read could block (or the buffer passes flushLen, or the stream
+// ends) does it commit the burst and send the whole buffer with one
+// Write. That shape buys three things:
 //
-//   - Pipelining without head-of-line writes: while the responder is in a
-//     write syscall, the dispatcher keeps decoding and executing the next
-//     pipelined requests, so queue work and socket work overlap.
-//   - Backpressure with a defined failure mode: the queue between the two
-//     is bounded. A full queue first stalls the dispatcher (it stops
-//     reading, TCP flow control pushes back on the client — counted by
-//     net-write-stall); a consumer that stays stuck past StallTimeout is
-//     evicted (net-drop) instead of anchoring server memory forever.
+//   - One durability wait per burst: on a durable queue the handle
+//     defers its commits (pq.Committer), so a pipelined window of
+//     mutating requests rides one group commit instead of one each, and
+//     no response leaves before the records it acknowledges are synced.
+//   - One syscall per burst in each direction, with no goroutine hop
+//     between executing a request and writing its response.
+//   - Backpressure with a defined failure mode: while a write waits for
+//     the client to drain its socket the loop reads nothing, so TCP flow
+//     control pushes back on the client (net-write-stall); a write still
+//     unfinished after StallTimeout evicts the connection (net-drop)
+//     instead of anchoring server memory forever.
 //
 // Handle lifecycle: one inner handle per connection, acquired from the
 // served queue's pool at Hello and released on disconnect. Release
@@ -25,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,8 +50,7 @@ import (
 type NewQueueFunc func(spec, id string, threads int) (pq.Queue, error)
 
 // Options configures a Server. The zero value plus a NewQueue func is
-// usable: dynamic queue instantiation, default write-queue depth and
-// stall timeout.
+// usable: dynamic queue instantiation and the default stall timeout.
 type Options struct {
 	// NewQueue constructs queues from spec strings (required).
 	NewQueue NewQueueFunc
@@ -61,12 +66,9 @@ type Options struct {
 	// PoolHandles caps each served queue's handle pool (0 = the pool's
 	// default, max(initial, 4·GOMAXPROCS)).
 	PoolHandles int
-	// WriteQueue is the per-connection responder queue depth in frames
-	// (0 = 64). Depth bounds per-connection server memory at roughly
-	// WriteQueue · MaxFrameLen bytes in the worst case.
-	WriteQueue int
-	// StallTimeout is how long one response may stay unqueueable before
-	// the connection is evicted (0 = 5s).
+	// StallTimeout is the write deadline of each burst's responses: a
+	// client that leaves them undrained in its socket that long is
+	// evicted (0 = 5s).
 	StallTimeout time.Duration
 	// Logf receives connection lifecycle and error lines (nil = silent).
 	Logf func(format string, args ...any)
@@ -82,8 +84,8 @@ type Stats struct {
 	FramesOut   uint64
 	ItemsIn     uint64 // keys inserted
 	ItemsOut    uint64 // keys deleted (excluding empty-delete shortfall)
-	WriteStalls uint64
-	Drops       uint64 // slow-consumer evictions
+	WriteStalls uint64 // response writes that waited for the client to drain its socket
+	Drops       uint64 // slow-consumer evictions: writes that hit StallTimeout
 }
 
 // statsWords is the OpStats payload layout: the Stats fields in order.
@@ -126,9 +128,6 @@ type Server struct {
 func NewServer(opts Options) (*Server, error) {
 	if opts.NewQueue == nil {
 		return nil, errors.New("netpq: Options.NewQueue is required")
-	}
-	if opts.WriteQueue <= 0 {
-		opts.WriteQueue = 64
 	}
 	if opts.StallTimeout <= 0 {
 		opts.StallTimeout = 5 * time.Second
@@ -229,6 +228,11 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
+	if s.closed.Load() {
+		// Close ran before ln was known, so it could not close it.
+		ln.Close()
+		return nil
+	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -237,14 +241,19 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		// Check closed, register and count the handler under one hold of
+		// mu. Close sets closed before it takes mu to close the
+		// registered conns, so each conn is either closed here or there,
+		// and wg.Add always happens before Close's wg.Wait.
+		s.mu.Lock()
 		if s.closed.Load() {
+			s.mu.Unlock()
 			conn.Close()
 			continue
 		}
-		s.mu.Lock()
 		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go s.handleConn(conn)
 	}
 }
@@ -289,16 +298,26 @@ func (s *Server) CloseQueues() error {
 	return first
 }
 
-// conn is the per-connection state shared by dispatcher and responder.
-type conn struct {
-	s      *Server
-	nc     net.Conn
-	tel    *telemetry.Shard
-	out    chan []byte // encoded response frames, dispatcher -> responder
-	free   chan []byte // recycled frame buffers, responder -> dispatcher
-	failed atomic.Bool // responder hit a write error or eviction fired
+// flushLen is the write-buffer size that ends a burst early: a client
+// that pipelines more than this many response bytes gets them in pieces
+// rather than growing the buffer without bound.
+const flushLen = 64 << 10
 
-	// Dispatcher-owned scratch, reused across requests.
+// stallProbe is the first write deadline of a burst's responses. A
+// socket with room takes a whole burst in microseconds, so a write still
+// unfinished at this deadline counts as a stall (net-write-stall).
+const stallProbe = time.Millisecond
+
+// conn is the state of one connection, owned by its one goroutine.
+type conn struct {
+	s    *Server
+	nc   net.Conn
+	tel  *telemetry.Shard
+	wbuf []byte // the burst's encoded responses, not yet written
+	nout uint64 // response frames in wbuf
+
+	// Scratch for decoded insert pairs and deleted items, reused across
+	// requests.
 	kvs []pq.KV
 
 	// Session state after Hello.
@@ -312,33 +331,22 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// handleConn runs the dispatcher loop and owns connection teardown.
+// handleConn runs the connection's loop and owns its teardown.
 func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
 	s.connsOpened.Add(1)
 	s.connsActive.Add(1)
 	c := &conn{
-		s:    s,
-		nc:   nc,
-		tel:  telemetry.NewShard(),
-		out:  make(chan []byte, s.opts.WriteQueue),
-		free: make(chan []byte, s.opts.WriteQueue+1),
-		kvs:  make([]pq.KV, 0, MaxBatch),
+		s:   s,
+		nc:  nc,
+		tel: telemetry.NewShard(),
+		kvs: make([]pq.KV, 0, MaxBatch),
 	}
 	c.tel.Inc(telemetry.NetConnOpen)
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) // pipelined request/response traffic; latency over segment count
 	}
-	var respondDone sync.WaitGroup
-	respondDone.Add(1)
-	go func() {
-		defer respondDone.Done()
-		c.respond()
-	}()
-
-	err := c.dispatch()
-	close(c.out)
-	respondDone.Wait()
+	err := c.loop()
 	nc.Close()
 	if c.handle != nil {
 		// Release flushes the inner handle's buffers back to the shared
@@ -354,16 +362,14 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 }
 
-// dispatch is the connection's read-execute loop. It returns when the
-// stream ends, a fatal protocol violation occurs, or the responder died.
-// Requests are read through one FrameReader, so a pipelined burst costs
-// one read syscall however many frames it holds.
-func (c *conn) dispatch() error {
+// loop reads, serves, commits and writes until the stream ends, a fatal
+// protocol violation occurs, a commit fails or a write fails. Requests
+// are read through one FrameReader, so a pipelined burst costs one read
+// syscall however many frames it holds; the burst's responses go out
+// together once the reader holds no further complete request.
+func (c *conn) loop() error {
 	fr := NewFrameReader(countingReader{c.nc, c.tel})
 	for {
-		if c.failed.Load() {
-			return errors.New("responder failed")
-		}
 		f, err := fr.ReadFrame()
 		if err != nil {
 			switch {
@@ -374,17 +380,66 @@ func (c *conn) dispatch() error {
 			case errors.Is(err, ErrBadVersion):
 				c.sendErr(0, ErrCodeVersion, fmt.Sprintf("server speaks version %d", Version))
 			}
+			if ferr := c.flush(); ferr != nil {
+				return ferr
+			}
 			return err
 		}
 		c.s.framesIn.Add(1)
 		c.tel.Inc(telemetry.NetFrameIn)
 		if fatal, err := c.serve(&f); fatal {
+			if ferr := c.flush(); ferr != nil {
+				return ferr
+			}
 			return err
+		}
+		if !fr.Buffered() || len(c.wbuf) >= flushLen {
+			if err := c.flush(); err != nil {
+				return err
+			}
 		}
 	}
 }
 
-// countingReader counts the dispatcher's Read calls on its connection
+// flush ends a burst: one Commit makes every operation the burst logged
+// durable, then one Write under the StallTimeout deadline sends all its
+// responses. A failed commit returns with the responses unwritten: the
+// operations they would acknowledge may never be durable, so the
+// connection closes without answering them.
+func (c *conn) flush() error {
+	if len(c.wbuf) == 0 {
+		return nil
+	}
+	if c.handle != nil {
+		if err := c.handle.Commit(); err != nil {
+			return fmt.Errorf("commit failed, %d responses withheld: %w", c.nout, err)
+		}
+	}
+	// A socket with room takes the whole burst at once, so a write that
+	// misses the short stallProbe deadline is waiting for the client to
+	// drain its socket; the rest of it then gets StallTimeout.
+	c.nc.SetWriteDeadline(time.Now().Add(stallProbe))
+	n, err := c.nc.Write(c.wbuf)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		c.s.writeStalls.Add(1)
+		c.tel.Inc(telemetry.NetWriteStall)
+		c.nc.SetWriteDeadline(time.Now().Add(c.s.opts.StallTimeout))
+		if _, err = c.nc.Write(c.wbuf[n:]); errors.Is(err, os.ErrDeadlineExceeded) {
+			c.s.drops.Add(1)
+			c.tel.Inc(telemetry.NetDrop)
+			return fmt.Errorf("evicted after %v write stall", c.s.opts.StallTimeout)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	c.s.framesOut.Add(c.nout)
+	c.tel.Add(telemetry.NetFrameOut, c.nout)
+	c.wbuf, c.nout = c.wbuf[:0], 0
+	return nil
+}
+
+// countingReader counts the server's Read calls on a connection
 // (net-read); net-read ÷ net-frame-in is the read syscalls per request.
 type countingReader struct {
 	r   io.Reader
@@ -441,13 +496,12 @@ func (c *conn) serve(f *Frame) (fatal bool, err error) {
 		}
 		got := pq.DeleteMinN(c.handle, c.kvs[:n], n)
 		c.s.itemsOut.Add(uint64(got))
-		buf := c.buffer()
-		buf = AppendFrame(buf, Frame{Op: OpDeleteMin | RespBit, Req: f.Req, Count: uint16(got)})
-		buf = AppendKVs(buf, c.kvs[:got])
+		start := len(c.wbuf)
+		c.send(Frame{Op: OpDeleteMin | RespBit, Req: f.Req, Count: uint16(got)})
+		c.wbuf = AppendKVs(c.wbuf, c.kvs[:got])
 		// Patch the length prefix: AppendFrame wrote it for an empty
 		// payload before the pairs were appended.
-		putFrameLen(buf, HeaderLen+got*KVLen)
-		c.enqueue(buf)
+		putFrameLen(c.wbuf[start:], HeaderLen+got*KVLen)
 	case OpPing:
 		if len(f.Payload) > MaxPing {
 			c.sendErr(f.Req, ErrCodeMalformed, fmt.Sprintf("ping payload above %d bytes", MaxPing))
@@ -456,16 +510,15 @@ func (c *conn) serve(f *Frame) (fatal bool, err error) {
 		c.send(Frame{Op: OpPing | RespBit, Req: f.Req, Payload: f.Payload})
 	case OpStats:
 		st := c.s.Stats()
-		buf := c.buffer()
-		buf = AppendFrame(buf, Frame{Op: OpStats | RespBit, Req: f.Req, Count: statsWords})
+		start := len(c.wbuf)
+		c.send(Frame{Op: OpStats | RespBit, Req: f.Req, Count: statsWords})
 		for _, v := range [statsWords]uint64{
 			st.ConnsOpened, st.ConnsActive, st.FramesIn, st.FramesOut,
 			st.ItemsIn, st.ItemsOut, st.WriteStalls, st.Drops,
 		} {
-			buf = appendUint64(buf, v)
+			c.wbuf = appendUint64(c.wbuf, v)
 		}
-		putFrameLen(buf, HeaderLen+statsWords*8)
-		c.enqueue(buf)
+		putFrameLen(c.wbuf[start:], HeaderLen+statsWords*8)
 	default:
 		c.sendErr(f.Req, ErrCodeOpcode, fmt.Sprintf("unknown opcode %#02x", f.Op))
 	}
@@ -498,6 +551,9 @@ func (c *conn) serveHello(f *Frame) (fatal bool, err error) {
 	}
 	c.sq = sq
 	c.handle = sq.pool.Acquire()
+	// The loop commits each burst before writing its responses, so
+	// mutating calls need not wait for durability one by one.
+	c.handle.DeferCommit()
 	canonical := sq.q.Name()
 	if i := strings.IndexByte(sq.id, '#'); i >= 0 {
 		canonical += sq.id[i:]
@@ -506,110 +562,15 @@ func (c *conn) serveHello(f *Frame) (fatal bool, err error) {
 	return false, nil
 }
 
-// send encodes f into a recycled buffer and enqueues it for the responder.
+// send appends the encoding of response f to the burst's write buffer.
 func (c *conn) send(f Frame) {
-	c.enqueue(AppendFrame(c.buffer(), f))
+	c.wbuf = AppendFrame(c.wbuf, f)
+	c.nout++
 }
 
-// sendErr enqueues an error frame.
+// sendErr appends an error frame.
 func (c *conn) sendErr(req uint32, code uint16, msg string) {
-	buf := c.buffer()
-	buf = AppendFrame(buf, Frame{Op: OpError, Req: req, Count: code, Payload: []byte(msg)})
-	c.enqueue(buf)
-}
-
-// buffer returns an empty encode buffer, recycled from the responder
-// when one is available.
-func (c *conn) buffer() []byte {
-	select {
-	case buf := <-c.free:
-		return buf[:0]
-	default:
-		return make([]byte, 0, LenPrefixLen+HeaderLen+64)
-	}
-}
-
-// enqueue hands an encoded frame to the responder, implementing the
-// backpressure policy: block (stalling the read loop, which stalls the
-// client through TCP flow control) when the queue is full, and evict the
-// connection when a single frame stays unqueueable past StallTimeout.
-func (c *conn) enqueue(buf []byte) {
-	if c.failed.Load() {
-		return
-	}
-	select {
-	case c.out <- buf:
-		return
-	default:
-	}
-	c.s.writeStalls.Add(1)
-	c.tel.Inc(telemetry.NetWriteStall)
-	t := time.NewTimer(c.s.opts.StallTimeout)
-	defer t.Stop()
-	select {
-	case c.out <- buf:
-	case <-t.C:
-		// CAS so a responder that failed while we waited doesn't make
-		// this count as a second, spurious eviction.
-		if c.failed.CompareAndSwap(false, true) {
-			c.s.drops.Add(1)
-			c.tel.Inc(telemetry.NetDrop)
-			c.nc.Close() // unblocks dispatcher read and responder write
-			c.s.logf("netpq: %s: evicted after %v write stall", c.nc.RemoteAddr(), c.s.opts.StallTimeout)
-		}
-	}
-}
-
-// respond drains the write queue onto the socket. Writes are coalesced:
-// frames are written while more are queued and the socket is flushed...
-// there is no bufio layer — instead the responder concatenates every
-// queued frame into one write buffer and issues a single Write per
-// drain round, which is the batching that matters on loopback.
-func (c *conn) respond() {
-	var wbuf []byte
-	for first := range c.out {
-		wbuf = append(wbuf[:0], first...)
-		c.recycle(first)
-		// Coalesce whatever else is already queued into this write.
-	coalesce:
-		for len(wbuf) < 64<<10 {
-			select {
-			case next, ok := <-c.out:
-				if !ok {
-					break coalesce
-				}
-				wbuf = append(wbuf, next...)
-				c.recycle(next)
-			default:
-				break coalesce
-			}
-		}
-		nframes := uint64(0) // counted below as frames, not writes
-		for off := 0; off < len(wbuf); {
-			length := int(uint32(wbuf[off])<<24 | uint32(wbuf[off+1])<<16 | uint32(wbuf[off+2])<<8 | uint32(wbuf[off+3]))
-			off += LenPrefixLen + length
-			nframes++
-		}
-		if _, err := c.nc.Write(wbuf); err != nil {
-			c.failed.Store(true)
-			c.nc.Close() // unblock a dispatcher parked in a read
-			// Drain remaining frames so the dispatcher never blocks on a
-			// dead responder.
-			for range c.out {
-			}
-			return
-		}
-		c.s.framesOut.Add(nframes)
-		c.tel.Add(telemetry.NetFrameOut, nframes)
-	}
-}
-
-// recycle returns a drained frame buffer to the dispatcher's free list.
-func (c *conn) recycle(buf []byte) {
-	select {
-	case c.free <- buf:
-	default:
-	}
+	c.send(Frame{Op: OpError, Req: req, Count: code, Payload: []byte(msg)})
 }
 
 // putFrameLen patches the length prefix of the frame starting at buf[0]

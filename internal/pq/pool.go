@@ -133,10 +133,11 @@ type freeSlot struct {
 }
 
 // PooledHandle wraps one inner per-goroutine Handle for its trips through
-// the pool. It implements Handle, Flusher, Peeker, BatchInserter and
-// BatchDeleter, delegating through the capability-checked helpers, so
-// callers use it exactly like a plain Handle between Acquire and Release.
-// Like the Handle it wraps, it must not be used by two goroutines at once.
+// the pool. It implements Handle, Flusher, Peeker, BatchInserter,
+// BatchDeleter and Committer, delegating through the capability-checked
+// helpers, so callers use it exactly like a plain Handle between Acquire
+// and Release. Like the Handle it wraps, it must not be used by two
+// goroutines at once.
 type PooledHandle struct {
 	pool  *Pool
 	inner Handle
@@ -497,6 +498,22 @@ func (h *PooledHandle) Flush() {
 	h.check()
 	Flush(h.inner)
 	runtime.KeepAlive(h)
+}
+
+// DeferCommit implements Committer (a no-op if the inner handle does not
+// commit). Release flushes, which ends the deferral.
+func (h *PooledHandle) DeferCommit() {
+	h.check()
+	DeferCommit(h.inner)
+	runtime.KeepAlive(h)
+}
+
+// Commit implements Committer (nil if the inner handle does not commit).
+func (h *PooledHandle) Commit() error {
+	h.check()
+	err := Commit(h.inner)
+	runtime.KeepAlive(h)
+	return err
 }
 
 // check panics on use after Release — the pooled analogue of a

@@ -171,6 +171,42 @@ func Close(v any) error {
 	return nil
 }
 
+// Committer is implemented by handles whose operations must be durable
+// before they are acknowledged: the durable tier's write-ahead-logged
+// handles. By default each mutating call returns only once its own
+// record is durable. After DeferCommit, mutating calls return as soon as
+// the operation is applied and logged, and one Commit waits until every
+// operation the handle logged before it is durable, so a caller that
+// answers many operations at once pays one durability wait for all of
+// them. The deferral lasts until the handle's next Flush, which a pool
+// Release performs, so a released handle goes back with the default
+// contract. A Commit error means the logged operations may never become
+// durable, and the caller must not acknowledge them.
+type Committer interface {
+	DeferCommit()
+	Commit() error
+}
+
+// DeferCommit switches h to deferred commits when it implements
+// Committer; on any other handle it is a no-op, because such a handle's
+// operations are complete when its calls return.
+func DeferCommit(h Handle) {
+	if c, ok := h.(Committer); ok {
+		c.DeferCommit()
+	}
+}
+
+// Commit waits until every operation h has logged is durable. It is the
+// capability-checked form of Committer, exactly as Flush is for Flusher:
+// a handle that does not implement it has nothing to wait for, and Commit
+// returns nil.
+func Commit(h Handle) error {
+	if c, ok := h.(Committer); ok {
+		return c.Commit()
+	}
+	return nil
+}
+
 // Flusher is implemented by handles that buffer operations locally (the
 // engineered MultiQueue's insertion/deletion buffers, the k-LSM's
 // shared-run buffer of items batch-taken from the SLSM pivot range). Flush

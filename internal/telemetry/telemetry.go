@@ -180,28 +180,28 @@ const (
 	// gauge is the churn rate.
 	NetConnOpen
 	// NetFrameIn counts request frames decoded off connections
-	// (netpq/server.go:dispatch). Divided into ops moved it yields the
+	// (netpq/server.go:loop). Divided into ops moved it yields the
 	// realized frame batching — the socket-path analogue of the
 	// batch-width histogram.
 	NetFrameIn
-	// NetRead counts read calls the dispatchers make on their connections
+	// NetRead counts read calls the server makes on its connections
 	// (netpq/server.go:countingReader). Each reads as much of a pipelined
 	// burst as has arrived, so NetRead/NetFrameIn falls below one as
 	// clients pipeline deeper.
 	NetRead
-	// NetFrameOut counts response frames handed to connection responders
-	// (netpq/server.go:respond). In a healthy run it tracks NetFrameIn
-	// one-to-one; a persistent gap means responses are queued behind a
+	// NetFrameOut counts response frames written to connections
+	// (netpq/server.go:flush). In a healthy run it tracks NetFrameIn
+	// one-to-one; a persistent gap means responses are held behind a
 	// slow consumer.
 	NetFrameOut
-	// NetWriteStall counts dispatcher blocks on a full per-connection
-	// write queue (netpq/server.go:enqueue): the responder is not
-	// draining as fast as requests complete, so backpressure propagates
-	// to the client via the stalled read loop.
+	// NetWriteStall counts response writes that had to wait for the
+	// client to drain its socket (netpq/server.go:flush): while one
+	// waits the connection reads nothing, so backpressure propagates to
+	// the client through TCP flow control.
 	NetWriteStall
 	// NetDrop counts connections dropped by slow-consumer eviction: a
-	// single response stayed unqueueable for the whole stall timeout
-	// (netpq/server.go:enqueue).
+	// response write was still unfinished at the stall timeout
+	// (netpq/server.go:flush).
 	NetDrop
 	// DurWALAppend counts WAL records appended by the durable tier
 	// (durable/wal.go:append) — one per logged InsertN/DeleteMinN.
@@ -266,8 +266,8 @@ var counterMeta = [NumCounters]struct{ name, help string }{
 	NetConnOpen:       {"net-conn-open", "connections accepted by the pqd service"},
 	NetFrameIn:        {"net-frame-in", "request frames decoded off connections"},
 	NetRead:           {"net-read", "read calls on connections (one per pipelined burst)"},
-	NetFrameOut:       {"net-frame-out", "response frames handed to connection responders"},
-	NetWriteStall:     {"net-write-stall", "dispatcher blocks on a full per-connection write queue"},
+	NetFrameOut:       {"net-frame-out", "response frames written to connections"},
+	NetWriteStall:     {"net-write-stall", "response writes that waited for the client to drain its socket"},
 	NetDrop:           {"net-drop", "connections dropped by slow-consumer eviction"},
 	DurWALAppend:      {"dur-wal-append", "WAL records appended (one per logged batch op)"},
 	DurFsync:          {"dur-fsync", "durability barriers issued to the backing store"},

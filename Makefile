@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-quick bench-engineered bench-klsm bench-skiplist bench-grid bench-churn bench-net bench-durable bench-recover pqd-smoke durable check chaos repro verify trend profile examples clean
+.PHONY: all build test race vet bench bench-quick bench-engineered bench-klsm bench-skiplist bench-churn bench-net pqd-smoke durable check chaos repro verify profile examples clean
 
 all: build vet test
 
@@ -25,10 +25,20 @@ race:
 # lock-free queues, the handle pool with its steal path and 0-alloc gate,
 # the harness churn mode, the quality replay, and the chaos checker) under
 # the race detector, plus a short-budget chaos pass over the whole registry
-# (scalar, batch widths, and pooled handle lifecycles), a smoke run of the
-# batch-width grid, a self-diff smoke of the trend tool, and the vet and
-# tests of the separate benchmark module (bench/), which the root module's
-# ./... does not reach.
+# (scalar, batch widths, and pooled handle lifecycles), pqbench smoke runs
+# of the batch-width grid (widths 1 and 8), the goroutine-churn cells (pool
+# and naive lifecycles) and the latency mode's CSV, a pqload smoke, and the
+# vet and tests of the separate benchmark module (bench/), which the root
+# module's ./... does not reach.
+#
+# The smoke binaries are built once and each run is time-bounded: a
+# livelocked queue gets SIGQUIT with GOTRACEBACK=all, so its step fails
+# with a goroutine dump instead of blocking the gate.
+SMOKE_BIN   = .smoke_build
+SMOKE       = GOTRACEBACK=all timeout -s QUIT -k 10s 60s
+SMOKE_CELL  = -threads 8 -duration 30ms -reps 1 -prefill 2000
+SMOKE_GRID  = -queues globallock,multiq,multiq-s4-b8,klsm4096,linden $(SMOKE_CELL)
+SMOKE_CHURN = -queues klsm4096,multiq $(SMOKE_CELL) -churn 400 -churn-abandon 64
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -38,12 +48,13 @@ check:
 	$(GO) run -race ./cmd/pqverify -chaos -ops 1500
 	$(GO) run -race ./cmd/pqverify -chaos -ops 1500 -batch 8
 	$(GO) run -race ./cmd/pqverify -chaos -ops 1500 -pool
-	$(GO) run ./cmd/pqgrid -smoke > /dev/null
-	$(GO) run ./cmd/pqload -smoke > /dev/null
-	$(GO) run ./cmd/pqbench -recover -recover-items 5000 -recover-ages 0,5000 \
-		-reps 2 -queues linden -out "" > /dev/null
-	$(GO) run ./cmd/pqtrend -q BENCH_6.json BENCH_6.json
-	$(GO) run ./cmd/pqtrend -q BENCH_9.json BENCH_10.json
+	$(GO) build -o $(SMOKE_BIN)/ ./cmd/pqbench ./cmd/pqload
+	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_GRID) > /dev/null
+	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_GRID) -batch 8 > /dev/null
+	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_CHURN) > /dev/null
+	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_CHURN) -churn-naive > /dev/null
+	$(SMOKE) $(SMOKE_BIN)/pqbench -queues multiq -threads 1,2 -ops 2000 -prefill 1000 -csv > /dev/null
+	$(SMOKE) $(SMOKE_BIN)/pqload -smoke > /dev/null
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-injection stress pass: every registry queue under seeded schedule
@@ -79,18 +90,11 @@ bench-klsm:
 bench-skiplist:
 	$(GO) test -bench='^BenchmarkSkiplistPQ$$|^BenchmarkLindenInsertDeleteMin$$' -benchmem -benchtime=1s -count=3 .
 
-# The batch-width comparison grid (DESIGN.md §4c): fig-4a t8 for a queue
-# cross-section at widths {1,8}, reps interleaved across widths, plus the
-# goroutine-churn cells (pool vs naive handle lifecycle), emitted as
-# BENCH_7.json (MOps/s ±CI, allocs/op, handle accounting, git SHA).
-bench-grid:
-	$(GO) run ./cmd/pqgrid
-
-# The socket-path grid: pqload self-hosts an in-process pqd on a loopback
+# The socket-path table: pqload self-hosts an in-process pqd on a loopback
 # socket and measures the fig-4a cell through it (8 connections, batch 8,
-# 32 requests pipelined per connection), emitted as BENCH_8.json with
-# "net:"-prefixed cells so pqtrend keeps the regimes distinct. Point it at
-# a running server with ADDR=host:port.
+# 32 requests pipelined per connection), printing MOps/s ±CI95, allocs/op
+# and request RTT per queue. Point it at a running server with
+# ADDR=host:port.
 ADDR ?=
 bench-net:
 	$(GO) run ./cmd/pqload $(if $(ADDR),-addr $(ADDR))
@@ -110,23 +114,6 @@ pqd-smoke:
 durable:
 	$(GO) test -race -count=1 ./internal/durable/...
 	$(GO) test -race -count=1 -run TestKillRecoverConserve ./cmd/pqd/
-
-# The durable-tier acceptance bench: fig-4a cell over durable-wrapped
-# queues on a real WAL (preallocated pwrite segments),
-# group commit vs the fsync-per-op naive baseline, with fsync
-# accounting; batch width 8 mirrors the socket grid so the tiers are
-# comparable. Emitted with "dur:"/"dur-naive:" cells so pqtrend keeps
-# the regimes distinct.
-bench-durable:
-	$(GO) run ./cmd/pqbench -durable -batch 8 -threads 1,2,4,8 -reps 3
-
-# The durable acceptance grid plus the recovery-time curve in one
-# report: the bench-durable cells and "rec:" cells (cold-start replay
-# rate at several snapshot ages), emitted as BENCH_10.json. `make check`
-# gates the dur: cells of this report against BENCH_9.json.
-bench-recover:
-	$(GO) run ./cmd/pqbench -durable -recover -batch 8 -threads 1,2,4,8 \
-		-reps 5 -out BENCH_10.json
 
 # The goroutine-churn acceptance bench alone: pool vs naive lifecycle on
 # the churn acceptance queues, with abandonment, as a readable table.
@@ -151,11 +138,6 @@ repro:
 # Check claimed relaxation bounds against observed rank errors.
 verify:
 	$(GO) run ./cmd/pqverify
-
-# Diff the two newest BENCH_*.json reports; nonzero exit when any cell's
-# MOps/s regressed beyond the CI95 overlap (see cmd/pqtrend).
-trend:
-	$(GO) run ./cmd/pqtrend
 
 # Profile one queue on the fig-4a cell: CPU + heap profiles and queue
 # telemetry under ./profiles/. Inspect with `go tool pprof`.
@@ -182,3 +164,4 @@ examples:
 
 clean:
 	$(GO) clean ./...
+	rm -rf $(SMOKE_BIN)

@@ -57,7 +57,6 @@ func main() {
 		threads  = flag.Int("threads", 0, "handle-pool sizing hint per queue (0 = GOMAXPROCS)")
 		stall    = flag.Duration("stall-timeout", 0, "write deadline for a client to drain its responses before it is evicted (0 = default 5s)")
 		durableF = flag.String("durable", "", "write-ahead log `dir`: wrap every served queue durably, one subdirectory per queue id")
-		window   = flag.Duration("commit-window", 0, "durable group-commit dally window (0 = commit cohorts as they form)")
 		snapEv   = flag.Int("snap-every", 0, "durable snapshot cadence in logged ops per queue (0 = explicit/final snapshots only)")
 		segBytes = flag.Int("seg-bytes", 0, "durable WAL segment size in bytes (0 = default 1 MiB; also the preallocation unit)")
 		telemF   = flag.Bool("telemetry", false, "collect queue-internals counters; print the table on shutdown (DESIGN.md §5, §7)")
@@ -90,10 +89,9 @@ func main() {
 				// "linden#bids" and "linden#asks" must recover
 				// independently.
 				o.Durable = &cpq.DurableOptions{
-					Dir:               filepath.Join(*durableF, id),
-					GroupCommitWindow: *window,
-					SnapshotEvery:     *snapEv,
-					SegmentBytes:      *segBytes,
+					Dir:           filepath.Join(*durableF, id),
+					SnapshotEvery: *snapEv,
+					SegmentBytes:  *segBytes,
 				}
 			}
 			return cpq.NewQueue(spec, o)

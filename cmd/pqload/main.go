@@ -1,9 +1,7 @@
 // Command pqload is the load generator for pqd: it drives N client
 // connections of pipelined, batched requests against a server and
-// reports throughput in MOps/s with a 95% CI, in the same JSON grid
-// format as pqgrid (BENCH_8.json) so `pqtrend` can diff socket-path
-// numbers against in-process ones. Socket cells are named "net:<spec>"
-// to keep the two regimes distinct in a diff.
+// prints one table row per queue: throughput in MOps/s with a 95% CI,
+// allocations per op and sampled request round-trip latency.
 //
 // With -addr pqload measures a running server; with the default empty
 // -addr it self-hosts an in-process loopback server, which is the
@@ -20,22 +18,19 @@
 // n ops of which the missing items were empty deletes — so socket
 // MOps/s is comparable to in-process MOps/s at the same batch width.
 //
-//	pqload                        # self-host, fig-4a cell -> BENCH_8.json
+//	pqload                        # self-host, fig-4a cell
 //	pqload -addr host:9410 -queues klsm4096 -conns 8 -batch 8
-//	pqload -smoke                 # tiny budget, stdout only (make pqd-smoke)
+//	pqload -smoke                 # tiny budget, nonzero-ops gate (make pqd-smoke)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -48,43 +43,6 @@ import (
 	"cpq/internal/stats"
 	"cpq/internal/workload"
 )
-
-// cellResult is one socket cell, schema-compatible with pqgrid's grid
-// cells (pqtrend matches on queue + batch_width). The extra fields are
-// ignored by trend.Load on older baselines.
-type cellResult struct {
-	Queue       string  `json:"queue"` // "net:<spec>"
-	BatchWidth  int     `json:"batch_width"`
-	MOpsMean    float64 `json:"mops_mean"`
-	MOpsCI95    float64 `json:"mops_ci95"`
-	AllocsPerOp float64 `json:"allocs_per_op"` // whole-process mallocs / op (client+server when self-hosted)
-	Ops         uint64  `json:"ops"`
-	Conns       int     `json:"conns"`
-	Pipeline    int     `json:"pipeline"`
-	RTTp50us    float64 `json:"rtt_p50_us"` // sampled request latency through the pipeline
-	RTTp99us    float64 `json:"rtt_p99_us"`
-}
-
-// report is the emitted JSON document (pqgrid's envelope plus the
-// socket-specific knobs).
-type report struct {
-	GitSHA     string       `json:"git_sha"`
-	GoVersion  string       `json:"go_version"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	NumCPU     int          `json:"num_cpu"`
-	Figure     string       `json:"figure"`
-	Mode       string       `json:"mode"` // "loopback" (self-hosted) or "remote"
-	Addr       string       `json:"addr,omitempty"`
-	Threads    int          `json:"threads"` // = conns, the socket analogue of worker threads
-	Pipeline   int          `json:"pipeline"`
-	Workload   string       `json:"workload"`
-	KeyDist    string       `json:"key_dist"`
-	Prefill    int          `json:"prefill"`
-	Duration   string       `json:"duration"`
-	Reps       int          `json:"reps"`
-	Generated  string       `json:"generated"`
-	Cells      []cellResult `json:"cells"`
-}
 
 func main() {
 	var (
@@ -100,14 +58,13 @@ func main() {
 		keysF      = flag.String("keys", "uniform", "key distribution: uniform32/16/8, ascending, descending, holdasc, holddesc")
 		insertFrac = flag.Float64("insert-frac", 0.5, "insert probability for the uniform workload")
 		seed       = flag.Uint64("seed", 0, "base RNG seed (0 = default)")
-		out        = flag.String("out", "BENCH_8.json", "output file (empty = stdout)")
-		smoke      = flag.Bool("smoke", false, "CI smoke: tiny budget, one rep, stdout only, nonzero-ops gate")
+		smoke      = flag.Bool("smoke", false, "CI smoke: tiny budget, one rep, nonzero-ops gate")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the measured loops")
 	)
 	flag.Parse()
 
 	if *smoke {
-		*duration, *reps, *prefill, *conns, *out = 300*time.Millisecond, 1, 2000, 4, ""
+		*duration, *reps, *prefill, *conns = 300*time.Millisecond, 1, 2000, 4
 		*queuesF = "multiq-s4-b8"
 	}
 	queueSpecs := cli.ExpandQueues(cli.ParseList(*queuesF))
@@ -132,9 +89,8 @@ func main() {
 	kdist, err := keys.Parse(*keysF)
 	exitOn(err)
 
-	mode, target := "remote", *addr
-	if *addr == "" {
-		mode = "loopback"
+	target := *addr
+	if target == "" {
 		srv, ln := selfHost()
 		defer srv.Close()
 		target = ln.Addr().String()
@@ -173,25 +129,10 @@ func main() {
 		}
 	}
 
-	doc := report{
-		GitSHA:     gitSHA(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Figure:     "4a",
-		Mode:       mode,
-		Threads:    *conns,
-		Pipeline:   *pipeline,
-		Workload:   wkind.String(),
-		KeyDist:    kdist.String(),
-		Prefill:    *prefill,
-		Duration:   duration.String(),
-		Reps:       *reps,
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-	}
-	if mode == "remote" {
-		doc.Addr = target
-	}
+	fmt.Printf("# net addr=%s conns=%d batch=%d pipeline=%d workload=%s keys=%s prefill=%d duration=%v reps=%d\n",
+		target, *conns, *batch, *pipeline, wkind, kdist, *prefill, *duration, *reps)
+	var table cli.Table
+	table.AddRow("queue", "MOps/s", "allocs/op", "rtt_p50_us", "rtt_p99_us")
 	var total uint64
 	for _, spec := range queueSpecs {
 		s := stats.Summarize(mops[spec])
@@ -200,25 +141,12 @@ func main() {
 			a = stats.Mean(as)
 		}
 		p50, p99 := percentiles(rtts[spec])
-		doc.Cells = append(doc.Cells, cellResult{
-			Queue: "net:" + spec, BatchWidth: *batch,
-			MOpsMean: round3(s.Mean), MOpsCI95: round3(s.CI95),
-			AllocsPerOp: round3(a), Ops: ops[spec],
-			Conns: *conns, Pipeline: *pipeline,
-			RTTp50us: round3(p50), RTTp99us: round3(p99),
-		})
+		table.AddRow(spec, fmt.Sprintf("%.3f ±%.3f", s.Mean, s.CI95),
+			fmt.Sprintf("%.3f", a), fmt.Sprintf("%.0f", p50), fmt.Sprintf("%.0f", p99))
 		total += ops[spec]
 	}
-
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	exitOn(err)
-	buf = append(buf, '\n')
-	if *out == "" {
-		os.Stdout.Write(buf)
-	} else {
-		exitOn(os.WriteFile(*out, buf, 0o644))
-		fmt.Fprintf(os.Stderr, "pqload: wrote %s\n", *out)
-	}
+	fmt.Print(table.String())
+	fmt.Println("# MOps/s mean ±95% CI over reps; allocs/op counts the whole process (client and server when self-hosted); rtt is sampled request latency through the pipeline")
 
 	// Smoke gate: the whole point of `make pqd-smoke` is that a built
 	// server, a built client and a real socket moved a nonzero number of
@@ -406,18 +334,6 @@ func percentiles(xs []float64) (p50, p99 float64) {
 		return xs[i]
 	}
 	return at(0.50), at(0.99)
-}
-
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
-}
-
-func round3(x float64) float64 {
-	return float64(int64(x*1000+0.5)) / 1000
 }
 
 func exitOn(err error) {

@@ -46,7 +46,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"cpq/internal/cbpq"
 	"cpq/internal/core"
@@ -203,10 +202,6 @@ type DurableOptions struct {
 	// directory serves one queue; constructing over a non-empty directory
 	// replays its contents into the new queue first.
 	Dir string
-	// GroupCommitWindow is an optional dally the commit leader takes
-	// before claiming the pending log buffer, trading latency for larger
-	// commit cohorts. Zero is the sensible default.
-	GroupCommitWindow time.Duration
 	// SnapshotEvery takes a snapshot (and truncates the WAL) every that
 	// many logged operations; zero disables automatic snapshots (one is
 	// still taken on Close).
@@ -214,10 +209,6 @@ type DurableOptions struct {
 	// SegmentBytes rotates the WAL to a fresh segment once the current
 	// one exceeds this size; zero selects the 1 MiB default.
 	SegmentBytes int
-	// Naive disables group commit — every operation fsyncs synchronously.
-	// The fsync-per-op baseline for benchmarks; never what a service
-	// wants.
-	Naive bool
 }
 
 // DurableError reports a durable-incompatible NewQueue request — a
@@ -278,8 +269,6 @@ func NewQueue(name string, opts Options) (Queue, error) {
 	switch {
 	case d.Dir == "":
 		reason = "Dir is required"
-	case d.GroupCommitWindow < 0:
-		reason = "negative GroupCommitWindow"
 	case d.SnapshotEvery < 0:
 		reason = "negative SnapshotEvery"
 	case d.SegmentBytes < 0:
@@ -289,11 +278,9 @@ func NewQueue(name string, opts Options) (Queue, error) {
 		return nil, &DurableError{Name: name, Reason: reason}
 	}
 	dq, err := durable.Wrap(q, durable.Options{
-		Dir:               d.Dir,
-		GroupCommitWindow: d.GroupCommitWindow,
-		SnapshotEvery:     d.SnapshotEvery,
-		SegmentBytes:      d.SegmentBytes,
-		Naive:             d.Naive,
+		Dir:           d.Dir,
+		SnapshotEvery: d.SnapshotEvery,
+		SegmentBytes:  d.SegmentBytes,
 	})
 	if err != nil {
 		return nil, &DurableError{Name: name, Reason: "open durable store", Err: err}

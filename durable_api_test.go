@@ -63,7 +63,6 @@ func TestNewQueueDurableErrors(t *testing.T) {
 		opts cpq.DurableOptions
 	}{
 		{"empty dir", cpq.DurableOptions{}},
-		{"negative window", cpq.DurableOptions{Dir: "x", GroupCommitWindow: -1}},
 		{"negative snapshot", cpq.DurableOptions{Dir: "x", SnapshotEvery: -1}},
 		{"negative segment", cpq.DurableOptions{Dir: "x", SegmentBytes: -1}},
 	}

@@ -238,12 +238,3 @@ func MachineByName(name string) (Machine, bool) {
 	}
 	return Machine{}, false
 }
-
-// Cell returns the cell at (row, col), or "" when out of range; rows and
-// columns are zero-based including the header row.
-func (t *Table) Cell(row, col int) string {
-	if row < 0 || row >= len(t.rows) || col < 0 || col >= len(t.rows[row]) {
-		return ""
-	}
-	return t.rows[row][col]
-}

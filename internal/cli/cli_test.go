@@ -180,18 +180,6 @@ func TestMachines(t *testing.T) {
 	}
 }
 
-func TestTableCell(t *testing.T) {
-	var tb Table
-	tb.AddRow("h1", "h2")
-	tb.AddRow("a", "b")
-	if tb.Cell(1, 1) != "b" || tb.Cell(0, 0) != "h1" {
-		t.Fatal("Cell lookup wrong")
-	}
-	if tb.Cell(5, 0) != "" || tb.Cell(0, 9) != "" || tb.Cell(-1, 0) != "" {
-		t.Fatal("out-of-range Cell not empty")
-	}
-}
-
 func TestExpandQueues(t *testing.T) {
 	got := ExpandQueues([]string{"engineered", "linden"})
 	want := []string{"multiq", "multiq-s4-b8", "klsm4096", "linden"}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cpq/internal/durable/kv"
 	"cpq/internal/pq"
@@ -19,11 +18,6 @@ type Options struct {
 	Store kv.Store
 	// Dir is where to open a kv store when Store is nil.
 	Dir string
-	// GroupCommitWindow is an optional dally the commit leader takes
-	// before claiming the pending buffer, letting more producers join the
-	// cohort. Zero (the default) is right for most loads: parked
-	// producers pile up behind the in-flight fsync anyway.
-	GroupCommitWindow time.Duration
 	// SnapshotEvery triggers a concurrent incremental snapshot (seal,
 	// fold frozen segments, chunked part write, manifest commit, WAL
 	// truncate — producers keep running throughout) every that many
@@ -33,11 +27,6 @@ type Options struct {
 	// SegmentBytes rotates the WAL to a fresh segment once the current
 	// one exceeds this size. Default 1 MiB.
 	SegmentBytes int
-	// Naive disables group commit: every operation appends and fsyncs
-	// synchronously, serialized. This is the fsync-per-op baseline that
-	// EXPERIMENTS.md's durability walkthrough compares group commit
-	// against.
-	Naive bool
 }
 
 // Stats is a telemetry-independent view of the log's work.
@@ -128,16 +117,12 @@ func Wrap(inner pq.Queue, opts Options) (*Queue, error) {
 	}
 
 	tel := telemetry.NewShard()
-	name := "dur:" + inner.Name()
-	if opts.Naive {
-		name = "dur-naive:" + inner.Name()
-	}
 	q := &Queue{
 		inner:      inner,
-		name:       name,
+		name:       "dur:" + inner.Name(),
 		store:      store,
 		ownStore:   own,
-		w:          newWAL(store, st.nextSeg, opts.Naive, opts.GroupCommitWindow, opts.SegmentBytes, tel),
+		w:          newWAL(store, st.nextSeg, opts.SegmentBytes, tel),
 		tel:        tel,
 		snapEvery:  opts.SnapshotEvery,
 		h:          inner.Handle(),
@@ -161,8 +146,8 @@ func Wrap(inner pq.Queue, opts Options) (*Queue, error) {
 	return q, nil
 }
 
-// Name implements pq.Queue; the "dur:" prefix keeps durable cells
-// distinct in benchmark tables and trend diffs.
+// Name implements pq.Queue; the "dur:" prefix keeps a durable queue
+// distinct from its inner queue in benchmark tables.
 func (q *Queue) Name() string { return q.name }
 
 // Handle implements pq.Queue. Durable handles are forwarders — all per-op
@@ -225,14 +210,8 @@ func (q *Queue) deleteMinN(dst []pq.KV, n int) (got int, lsn uint64) {
 
 // logLocked appends the record of an op just applied to the inner queue
 // and returns its LSN. Called with q.mu held, so WAL order is op order.
-// In naive mode the record is also synced before logLocked returns.
 func (q *Queue) logLocked(kind byte, kvs []pq.KV) uint64 {
-	var lsn uint64
-	if q.w.naive {
-		lsn = q.w.logNaive(kind, kvs)
-	} else {
-		lsn = q.w.append(kind, kvs)
-	}
+	lsn := q.w.append(kind, kvs)
 	q.maybeSnapshotLocked()
 	return lsn
 }
@@ -340,11 +319,10 @@ type handle struct {
 
 // settle finishes a logged op: it waits until the record at lsn is
 // durable or, after DeferCommit, leaves that wait to the next Commit.
-// A naive log synced the record inside the op already.
 func (h *handle) settle(lsn uint64) {
 	if h.deferred {
 		h.lsn = lsn
-	} else if !h.q.w.naive {
+	} else {
 		h.q.w.commitWait(lsn)
 	}
 }

@@ -77,56 +77,64 @@ func equalSets(a, b []pq.KV) bool {
 
 // TestRecoveryRoundTrip crashes (abandons) a durable queue mid-life and
 // proves a fresh wrapper over the same store reconstructs the exact live
-// multiset, for each queue family.
+// multiset, for each queue family: once from the WAL alone, and once
+// from a snapshot plus the WAL tail logged after it.
 func TestRecoveryRoundTrip(t *testing.T) {
 	for _, fam := range families {
 		t.Run(fam, func(t *testing.T) {
-			store := kv.NewInmem()
-			q, err := durable.Wrap(newInner(t, fam), durable.Options{Store: store})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := q.Handle()
-			var want []pq.KV
-			for i := uint64(0); i < 500; i++ {
-				h.Insert(i, i*10)
-				want = append(want, pq.KV{Key: i, Value: i * 10})
-			}
-			// Delete some; what comes out leaves the expected set.
-			buf := make([]pq.KV, 128)
-			got := pq.DeleteMinN(h, buf, 128)
-			if got == 0 {
-				t.Fatal("DeleteMinN returned nothing from a full queue")
-			}
-			live := map[pq.KV]int{}
-			for _, kv := range want {
-				live[kv]++
-			}
-			for _, kv := range buf[:got] {
-				if live[kv] == 0 {
-					t.Fatalf("deleted item %+v was never inserted", kv)
+			for _, snapshot := range []bool{false, true} {
+				store := kv.NewInmem()
+				q, err := durable.Wrap(newInner(t, fam), durable.Options{Store: store})
+				if err != nil {
+					t.Fatal(err)
 				}
-				live[kv]--
-			}
-			var expect []pq.KV
-			for kv, n := range live {
-				for j := 0; j < n; j++ {
-					expect = append(expect, kv)
+				h := q.Handle()
+				var want []pq.KV
+				for i := uint64(0); i < 500; i++ {
+					if snapshot && i == 250 {
+						if err := q.Snapshot(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					h.Insert(i, i*10)
+					want = append(want, pq.KV{Key: i, Value: i * 10})
 				}
-			}
-			if err := q.Err(); err != nil {
-				t.Fatalf("queue error: %v", err)
-			}
-			// Abandon q without Close — the crash. The store holds
-			// everything a real process would have on disk.
-			r, err := durable.Wrap(newInner(t, fam), durable.Options{Store: store})
-			if err != nil {
-				t.Fatalf("recover: %v", err)
-			}
-			recovered := drain(t, r)
-			if !equalSets(recovered, expect) {
-				t.Fatalf("recovered %d items, want %d — conservation violated",
-					len(recovered), len(expect))
+				// Delete some; what comes out leaves the expected set.
+				buf := make([]pq.KV, 128)
+				got := pq.DeleteMinN(h, buf, 128)
+				if got == 0 {
+					t.Fatal("DeleteMinN returned nothing from a full queue")
+				}
+				live := map[pq.KV]int{}
+				for _, kv := range want {
+					live[kv]++
+				}
+				for _, kv := range buf[:got] {
+					if live[kv] == 0 {
+						t.Fatalf("deleted item %+v was never inserted", kv)
+					}
+					live[kv]--
+				}
+				var expect []pq.KV
+				for kv, n := range live {
+					for j := 0; j < n; j++ {
+						expect = append(expect, kv)
+					}
+				}
+				if err := q.Err(); err != nil {
+					t.Fatalf("queue error: %v", err)
+				}
+				// Abandon q without Close — the crash. The store holds
+				// everything a real process would have on disk.
+				r, err := durable.Wrap(newInner(t, fam), durable.Options{Store: store})
+				if err != nil {
+					t.Fatalf("snapshot=%v: recover: %v", snapshot, err)
+				}
+				recovered := drain(t, r)
+				if !equalSets(recovered, expect) {
+					t.Fatalf("snapshot=%v: recovered %d items, want %d — conservation violated",
+						snapshot, len(recovered), len(expect))
+				}
 			}
 		})
 	}
@@ -313,29 +321,6 @@ func TestGroupCommitConserves(t *testing.T) {
 	if !equalSets(replayed, sortedCopy(expect)) {
 		t.Fatalf("replay has %d items, caller accounting says %d — conservation violated",
 			len(replayed), len(expect))
-	}
-}
-
-// TestNaiveModeFsyncsPerOp pins the baseline the benchmark compares
-// against: naive mode issues exactly one fsync per logged record.
-func TestNaiveModeFsyncsPerOp(t *testing.T) {
-	q, err := durable.Wrap(newInner(t, "globallock"), durable.Options{
-		Store: kv.NewInmem(),
-		Naive: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := q.Handle()
-	for i := uint64(0); i < 200; i++ {
-		h.Insert(i, i)
-	}
-	st := q.Stats()
-	if st.Records != 200 || st.Fsyncs != 200 {
-		t.Fatalf("naive mode: %+v, want 200 records and 200 fsyncs", st)
-	}
-	if q.Name() != "dur-naive:globallock" {
-		t.Fatalf("Name = %q", q.Name())
 	}
 }
 

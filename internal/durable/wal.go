@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cpq/internal/chaos"
 	"cpq/internal/durable/kv"
@@ -152,13 +151,6 @@ type wal struct {
 	store kv.Store
 	tel   *telemetry.Shard
 
-	// naive disables group commit: every record is written and fsynced
-	// synchronously by its own producer. This is the fsync-per-op
-	// baseline the EXPERIMENTS.md walkthrough compares against.
-	naive bool
-	// window is an optional leader dally before claiming the buffer,
-	// letting more producers join the cohort on low-concurrency runs.
-	window time.Duration
 	// segBytes triggers rotation to a fresh segment once the current one
 	// has at least this many synced bytes.
 	segBytes int
@@ -184,12 +176,10 @@ type wal struct {
 	fsyncs atomic.Uint64 // barriers issued; telemetry-independent Stats feed
 }
 
-func newWAL(store kv.Store, startSeg uint64, naive bool, window time.Duration, segBytes int, tel *telemetry.Shard) *wal {
+func newWAL(store kv.Store, startSeg uint64, segBytes int, tel *telemetry.Shard) *wal {
 	w := &wal{
 		store:    store,
 		tel:      tel,
-		naive:    naive,
-		window:   window,
 		segBytes: segBytes,
 		pending:  make([]byte, 0, 4096),
 		spare:    make([]byte, 0, 4096),
@@ -229,20 +219,15 @@ func (w *wal) commitWait(lsn uint64) error {
 			continue
 		}
 		w.leading = true
-		// Dally with the lock released so more producers can append into
-		// the buffer this leader is about to claim. Even with no window
-		// configured, one scheduler yield matters: right after a commit
-		// wakes its cohort, the first producer back would otherwise claim
-		// a buffer holding only its own record and spend a whole fsync on
-		// it, degenerating toward fsync-per-op on few cores. Yielding
-		// lets every already-runnable producer append first, so the next
-		// fsync covers the full cohort.
+		// Yield once with the lock released so more producers can append
+		// into the buffer this leader is about to claim: right after a
+		// commit wakes its cohort, the first producer back would otherwise
+		// claim a buffer holding only its own record and spend a whole
+		// fsync on it, degenerating toward fsync-per-op on few cores.
+		// Yielding lets every already-runnable producer append first, so
+		// the next fsync covers the full cohort.
 		w.mu.Unlock()
-		if w.window > 0 {
-			time.Sleep(w.window)
-		} else {
-			runtime.Gosched()
-		}
+		runtime.Gosched()
 		w.mu.Lock()
 		buf := w.pending
 		w.pending = w.spare[:0]
@@ -310,55 +295,6 @@ func (w *wal) maybeRotateLocked() {
 	w.seg++
 	w.segName = segKey(w.seg)
 	w.segSize = 0
-}
-
-// logNaive appends one record, synchronously makes it durable — the
-// fsync-per-op baseline — and returns its LSN. A failed sync poisons the
-// log, so commitWait on that LSN reports the failure. Callers hold the
-// owning Queue's op mutex for the whole call, so the log is strictly
-// serial and every op pays its own fsync; no cohort forms. That
-// serialization is the cost group commit exists to remove.
-//
-// It still honors the leading protocol: the concurrent snapshotter's
-// seal runs without the op mutex, so without the flag a naive op's
-// append+sync could interleave with a seal's claim of the same buffer
-// and land bytes in the wrong segment or out of LSN order.
-func (w *wal) logNaive(kind byte, kvs []pq.KV) uint64 {
-	w.mu.Lock()
-	for w.leading { // wait out a concurrent seal
-		w.cond.Wait()
-	}
-	if w.err != nil {
-		lsn := w.appended + 1 // never logged; commitWait on it reports w.err
-		w.mu.Unlock()
-		return lsn
-	}
-	w.leading = true
-	w.pending = appendRecord(w.pending, kind, kvs)
-	w.appended++
-	buf := w.pending
-	w.pending = w.spare[:0]
-	target := w.appended
-	w.mu.Unlock()
-	if telemetry.Enabled {
-		w.tel.Inc(telemetry.DurWALAppend)
-	}
-	err := w.sync(buf)
-	w.mu.Lock()
-	w.spare = buf[:0]
-	w.leading = false
-	if err != nil {
-		if w.err == nil {
-			w.err = err
-		}
-	} else {
-		w.synced = target
-		w.segSize += len(buf)
-		w.maybeRotateLocked()
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	return target
 }
 
 // barrier makes everything appended so far durable (graceful-drain path).

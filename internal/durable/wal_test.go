@@ -142,7 +142,7 @@ func TestAppendPathAllocs(t *testing.T) {
 	if telemetry.Enabled {
 		t.Skip("telemetry build flag changes the path under test")
 	}
-	w := newWAL(kv.NewInmem(), 0, false, 0, 1<<20, telemetry.NewShard())
+	w := newWAL(kv.NewInmem(), 0, 1<<20, telemetry.NewShard())
 	kvs := []pq.KV{{Key: 1, Value: 2}, {Key: 3, Value: 4}}
 	// Warm the buffer to steady-state capacity.
 	for i := 0; i < 64; i++ {

@@ -39,7 +39,6 @@ func ClaimedBound(name string, p int) (bound int, kind BoundKind) {
 	// Durable wrappers (internal/durable) keep the inner structure's rank
 	// guarantee — logging neither reorders nor relaxes anything.
 	n = strings.TrimPrefix(n, "dur:")
-	n = strings.TrimPrefix(n, "dur-naive:")
 	switch {
 	case strings.HasPrefix(n, "klsm"):
 		k, _ := strconv.Atoi(n[4:])

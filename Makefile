@@ -23,9 +23,12 @@ race:
 # engineered MultiQueue's buffer stealing, the k-LSM's pooled hot path with
 # spy/run-buffer stealing, the packed-word skiplist substrate and its
 # lock-free queues, the handle pool with its steal path and 0-alloc gate,
-# the harness churn mode, the quality replay, and the chaos checker) under
-# the race detector, plus a short-budget chaos pass over the whole registry
-# (scalar, batch widths, and pooled handle lifecycles), pqbench smoke runs
+# the harness churn mode, the quality replay, and the chaos checker) and
+# the root pool-churn test and rank-error matrix (every registry queue; no
+# queue with a claimed bound may have a deletion whose definite rank
+# exceeds it, DESIGN.md §6) under the race detector, plus a short-budget
+# chaos pass over the whole registry (scalar, batch widths, and pooled
+# handle lifecycles), pqbench smoke runs
 # of the batch-width grid (widths 1 and 8), the goroutine-churn cells (pool
 # and naive lifecycles) and the latency mode's CSV, a pqload smoke, and the
 # vet and tests of the separate benchmark module (bench/), which the root
@@ -43,7 +46,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./internal/pq/ ./internal/core/ ./internal/multiq/ ./internal/skiplist/ ./internal/linden/ ./internal/spray/ ./internal/lotan/ ./internal/harness/ ./internal/quality/ ./internal/chaos/ ./internal/netpq/
-	$(GO) test -race -run TestPoolChurn .
+	$(GO) test -race -run 'TestPoolChurn|TestQualityMatrix' .
 	$(MAKE) durable
 	$(GO) run -race ./cmd/pqverify -chaos -ops 1500
 	$(GO) run -race ./cmd/pqverify -chaos -ops 1500 -batch 8

@@ -36,10 +36,10 @@
 // This trades the FAA fast path for a simpler strict design; the freeze
 // and split protocols follow the original.
 //
-// Registry identifier: "cbpq"; strict (cmd/pqverify checks rank 0 within
-// stamping slack). In the extension-queue grid of EXPERIMENTS.md it is the
-// fastest strict structure, consistent with the original's mixed-workload
-// claim.
+// Registry identifier: "cbpq"; strict (cmd/pqverify checks that no
+// deletion has a definite rank above 0). In the extension-queue grid of
+// EXPERIMENTS.md it is the fastest strict structure, consistent with the
+// original's mixed-workload claim.
 package cbpq
 
 import (
@@ -272,6 +272,12 @@ func (h *handle) DeleteMin() (key, value uint64, ok bool) {
 		}
 		bi, bkey := first.buf.minReady()
 		di := first.delIdx.Load()
+		if di >= delSentinel {
+			// A rebuild froze the head after the check above. Its sorted
+			// remainder may hold smaller keys than the buffer: help, retry.
+			q.help(d, first)
+			continue
+		}
 		sortedLive := di >= 0 && di < int64(len(first.sorted))
 		switch {
 		case sortedLive && (bi < 0 || first.sorted[di].Key <= bkey):

@@ -3,9 +3,7 @@ package chaos
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"cpq/internal/keys"
 	"cpq/internal/pq"
@@ -36,7 +34,7 @@ type CheckConfig struct {
 	Prefill int
 	// OpBatch, when >= 2, makes workers interleave batch and scalar
 	// operations: every other call is an InsertN/DeleteMinN of this width
-	// (logged quality-style under one shared stamp per batch), the rest are
+	// (its items logged under the call's shared stamps), the rest are
 	// ordinary Insert/DeleteMin. The interleaving stresses exactly the
 	// hand-off the batch paths share with the scalar ones — run buffers,
 	// insertion buffers, claim flags — under fault injection.
@@ -62,16 +60,6 @@ type CheckConfig struct {
 	// Injection tunes the failpoint behaviour; the zero value selects the
 	// defaults documented on Config. Its Seed field is overridden by Seed.
 	Injection Config
-	// Slack widens every bound check by this many ranks to absorb
-	// log-stamping pessimism: an operation delayed by injection between
-	// taking effect and being stamped is ordered adversely against
-	// everything that slipped into the window. Negative selects the
-	// default 1024 + 64·Threads.
-	Slack int
-	// Tolerance is the accepted fraction of deletions beyond bound+slack
-	// (default 0.002). The exact invariants — lost items, double deletes,
-	// drain emptiness — use no tolerance.
-	Tolerance float64
 }
 
 func (c CheckConfig) withDefaults() CheckConfig {
@@ -95,12 +83,6 @@ func (c CheckConfig) withDefaults() CheckConfig {
 	if c.Seed == 0 {
 		c.Seed = 0x9e3779b97f4a7c15
 	}
-	if c.Slack < 0 {
-		c.Slack = 1024 + 64*c.Threads
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 0.002
-	}
 	return c
 }
 
@@ -109,16 +91,14 @@ type CheckResult struct {
 	Name string
 	Seed uint64
 	// Inserts and Deletions count logged operations (workers + prefill +
-	// drain); EmptyDeletes counts delete_mins that reported empty during
-	// the concurrent phase.
-	Inserts, Deletions, EmptyDeletes uint64
+	// drain).
+	Inserts, Deletions uint64
 	// Drained is how many items the post-phase drain recovered.
 	Drained uint64
-	// Bound, Kind and Slack echo the verified relaxation claim;
-	// Quality is the replayed rank-error distribution.
+	// Bound and Kind echo the verified relaxation claim; Quality is the
+	// replayed rank-error distribution.
 	Bound   int
 	Kind    quality.BoundKind
-	Slack   int
 	Quality quality.Result
 	// Injected reports the failpoint activity of the run (coverage).
 	Injected Stats
@@ -140,10 +120,11 @@ func (r CheckResult) Failed() bool { return len(r.Violations) > 0 }
 //  1. Enable injection (seeded), construct the queue, prefill through a
 //     logged handle.
 //  2. Concurrent phase: Threads workers run a uniform insert/delete mix,
-//     logging every operation quality-style (global atomic stamps, unique
-//     item identities in the value word). The first Abandon workers stop
-//     at half budget without flushing — mid-operation handle abandonment —
-//     while the rest flush when done, as the harnesses do.
+//     logging every call through a quality.Recorder (invocation and
+//     response stamps, unique item identities in the value word). The
+//     first Abandon workers stop at half budget without flushing —
+//     mid-operation handle abandonment — while the rest flush when done,
+//     as the harnesses do.
 //  3. Recovery: Flush every abandoned handle (the pq.Flusher contract),
 //     then drain the queue to empty single-threaded through a fresh
 //     handle, still under injection. If the drain reports empty while
@@ -152,9 +133,9 @@ func (r CheckResult) Failed() bool { return len(r.Violations) > 0 }
 //  4. Forensics on the merged log: every inserted item deleted at most
 //     once (nothing deleted twice, nothing conjured), every item deleted
 //     exactly once overall (nothing lost, buffered items made reachable
-//     again by Flush), and the replayed rank distribution within the
-//     claimed relaxation bound plus stamping slack (kP for the k-LSM, k
-//     for the SLSM, strictness for the exact queues).
+//     again by Flush), and no deletion with a definite rank above the
+//     claimed relaxation bound (kP for the k-LSM, k for the SLSM, 0 for
+//     the exact queues).
 //
 // Check owns the package-global injection state: it calls Enable before
 // constructing the queue and Disable before returning, so callers must not
@@ -163,7 +144,6 @@ func Check(cfg CheckConfig) CheckResult {
 	cfg = cfg.withDefaults()
 	res := CheckResult{Name: cfg.Name, Seed: cfg.Seed}
 	res.Bound, res.Kind = quality.ClaimedBound(cfg.Name, cfg.Threads+2)
-	res.Slack = cfg.Slack
 
 	inj := cfg.Injection
 	inj.Seed = cfg.Seed
@@ -179,7 +159,7 @@ func Check(cfg CheckConfig) CheckResult {
 	}
 	q := cfg.NewQueue(constructP)
 	defer pq.Close(q)
-	var seq, nextID atomic.Uint64
+	var rec quality.Recorder
 
 	// Handle lifecycle: plain mode hands out q.Handle() per role and
 	// recovers abandoned buffers with manual Flush; pool mode routes every
@@ -198,27 +178,23 @@ func Check(cfg CheckConfig) CheckResult {
 	// effective P of the kP window (hence Threads+2 above: prefill handle,
 	// workers, drain handle — the drain handle replaces a worker slot but
 	// the bound only loosens, never tightens, by over-counting).
-	events := make([]quality.Event, 0, cfg.Prefill+cfg.Threads*cfg.OpsPerThread)
 	{
 		h := acquire()
-		r := rng.New(cfg.Seed ^ 0xd1b54a32d192ed03)
-		gen := keys.NewGenerator(keys.Uniform32, r)
+		lg := rec.Log(cfg.Prefill)
+		gen := keys.NewGenerator(keys.Uniform32, rng.New(cfg.Seed^0xd1b54a32d192ed03))
+		kv := make([]pq.KV, 1)
 		for i := 0; i < cfg.Prefill; i++ {
-			k := gen.Next()
-			id := nextID.Add(1)
-			events = append(events, quality.Event{Seq: seq.Add(1), ID: id, Key: k})
-			h.Insert(k, id)
+			kv[0].Key = gen.Next()
+			lg.Insert(h, kv)
 		}
 		release(h)
 	}
 
 	// Phase 2: concurrent measured phase.
 	var (
-		logs      = make([][]quality.Event, cfg.Threads)
-		handles   = make([]pq.Handle, cfg.Threads)
-		emptyDels atomic.Uint64
-		start     = make(chan struct{})
-		wg        sync.WaitGroup
+		handles = make([]pq.Handle, cfg.Threads)
+		start   = make(chan struct{})
+		wg      sync.WaitGroup
 	)
 	for w := 0; w < cfg.Threads; w++ {
 		wg.Add(1)
@@ -240,84 +216,33 @@ func Check(cfg CheckConfig) CheckResult {
 			if abandoned {
 				budget /= 2 // stop mid-phase, buffers still loaded
 			}
-			local := make([]quality.Event, 0, budget)
+			lg := rec.Log(budget)
+			kvs := make([]pq.KV, max(cfg.OpBatch, 1))
 			<-start
-			if cfg.OpBatch > 1 {
-				b := cfg.OpBatch
-				kvs := make([]pq.KV, b)
-				for i, call := 0, 0; i < budget; call++ {
-					batch := call%2 == 0 // interleave batch and scalar calls
-					isInsert := policy.Next() == workload.Insert
-					switch {
-					case isInsert && batch:
-						// One stamp BEFORE the call for the whole batch.
-						s := seq.Add(1)
-						for j := range kvs {
-							k := gen.Next()
-							id := nextID.Add(1)
-							kvs[j] = pq.KV{Key: k, Value: id}
-							local = append(local, quality.Event{Seq: s, ID: id, Key: k})
-						}
-						pq.InsertN(h, kvs)
-						i += b
-					case isInsert:
-						k := gen.Next()
-						id := nextID.Add(1)
-						local = append(local, quality.Event{Seq: seq.Add(1), ID: id, Key: k})
-						h.Insert(k, id)
-						i++
-					case batch:
-						got := pq.DeleteMinN(h, kvs, b)
-						// One stamp AFTER the call for everything it removed.
-						s := seq.Add(1)
-						for j := 0; j < got; j++ {
-							gen.Observe(kvs[j].Key)
-							local = append(local, quality.Event{Seq: s, ID: kvs[j].Value, Key: kvs[j].Key, Del: true})
-						}
-						if got == 0 {
-							emptyDels.Add(1)
-						}
-						i += b
-					default:
-						k, id, ok := h.DeleteMin()
-						if ok {
-							gen.Observe(k)
-							local = append(local, quality.Event{Seq: seq.Add(1), ID: id, Key: k, Del: true})
-						} else {
-							emptyDels.Add(1)
-						}
-						i++
+			for i, call := 0, 0; i < budget; call++ {
+				c := kvs[:1]
+				if call%2 == 0 {
+					c = kvs // interleave batch and scalar calls
+				}
+				if policy.Next() == workload.Insert {
+					for j := range c {
+						c[j].Key = gen.Next()
+					}
+					lg.Insert(h, c)
+				} else {
+					for _, kv := range c[:lg.DeleteMin(h, c)] {
+						gen.Observe(kv.Key)
 					}
 				}
-			} else {
-				for i := 0; i < budget; i++ {
-					if policy.Next() == workload.Insert {
-						k := gen.Next()
-						id := nextID.Add(1)
-						// Stamp BEFORE the insert takes effect.
-						local = append(local, quality.Event{Seq: seq.Add(1), ID: id, Key: k})
-						h.Insert(k, id)
-					} else {
-						k, id, ok := h.DeleteMin()
-						if ok {
-							gen.Observe(k)
-							// Stamp AFTER the delete returned.
-							local = append(local, quality.Event{Seq: seq.Add(1), ID: id, Key: k, Del: true})
-						} else {
-							emptyDels.Add(1)
-						}
-					}
-				}
+				i += len(c)
 			}
 			if !abandoned {
 				release(h)
 			} // abandoned + pool: drop the wrapper without Release
-			logs[w] = local
 		}(w)
 	}
 	close(start)
 	wg.Wait()
-	res.EmptyDeletes = emptyDels.Load()
 
 	// Phase 3: recovery and drain. Plain mode exercises the Flusher
 	// contract on the abandoned handles: everything they still buffer must
@@ -346,19 +271,17 @@ func Check(cfg CheckConfig) CheckResult {
 		}
 	}
 	drainH := acquire()
-	totalInserted := nextID.Load()
-	var logged uint64 // deletions logged so far, recomputed below
-	for _, l := range logs {
-		for _, e := range l {
-			if e.Del {
-				logged++
-			}
+	drain, kv := rec.Log(0), make([]pq.KV, 1)
+	var totalInserted, logged uint64 // items inserted, deletions logged so far
+	for _, e := range rec.Events() {
+		if e.Del {
+			logged++
+		} else {
+			totalInserted++
 		}
 	}
 	for retries := 0; ; {
-		k, id, ok := drainH.DeleteMin()
-		if ok {
-			events = append(events, quality.Event{Seq: seq.Add(1), ID: id, Key: k, Del: true})
+		if drain.DeleteMin(drainH, kv) == 1 {
 			res.Drained++
 			continue
 		}
@@ -376,11 +299,10 @@ func Check(cfg CheckConfig) CheckResult {
 			}
 		}
 		pq.Flush(drainH)
-		if k, id, ok := drainH.DeleteMin(); ok {
+		if drain.DeleteMin(drainH, kv) == 1 {
 			res.Violations = append(res.Violations, fmt.Sprintf(
 				"emptiness oracle: DeleteMin reported empty while items were still reachable (retry %d recovered id %d key %d)",
-				retries, id, k))
-			events = append(events, quality.Event{Seq: seq.Add(1), ID: id, Key: k, Del: true})
+				retries, kv[0].Value, kv[0].Key))
 			res.Drained++
 		}
 	}
@@ -405,24 +327,14 @@ func Check(cfg CheckConfig) CheckResult {
 	}
 
 	// Phase 4: forensics on the merged log.
-	for _, l := range logs {
-		events = append(events, l...)
-	}
-	// Stable: batch calls log several events under one shared stamp, whose
-	// relative (append) order the replay must preserve.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
+	events := rec.Events()
 	res.accountItems(events, totalInserted)
-
 	res.Quality = quality.Replay(events)
 	if res.Kind != quality.BoundNone {
-		limit := res.Bound + cfg.Slack
-		if v := quality.ViolationsAbove(res.Quality, limit); v > 0 {
-			frac := float64(v) / float64(res.Quality.Deletions)
-			if frac > cfg.Tolerance {
-				res.Violations = append(res.Violations, fmt.Sprintf(
-					"relaxation bound: %d of %d deletions (%.3f%%) exceeded rank %d (claimed %s bound %d + slack %d; max observed %d)",
-					v, res.Quality.Deletions, 100*frac, limit, res.Kind, res.Bound, cfg.Slack, res.Quality.MaxRank))
-			}
+		if v := quality.ViolationsAbove(res.Quality, res.Bound); v > 0 {
+			res.Violations = append(res.Violations, fmt.Sprintf(
+				"relaxation bound: %d of %d deletions had a definite rank above the claimed %s bound %d (max definite rank %d)",
+				v, res.Quality.Deletions, res.Kind, res.Bound, res.Quality.MaxDefinite))
 		}
 	}
 
@@ -431,51 +343,49 @@ func Check(cfg CheckConfig) CheckResult {
 }
 
 // accountItems checks the exact item-conservation invariants on the merged
-// log: every delete corresponds to a logged insert with a matching key, no
-// item is deleted twice, and no item is lost (undeleted after flush+drain).
+// log, given in any order: every delete corresponds to a logged insert with
+// a matching key, no item is deleted twice, and no item is lost (undeleted
+// after flush+drain).
 func (r *CheckResult) accountItems(events []quality.Event, totalInserted uint64) {
 	keyByID := make([]uint64, totalInserted+1)
 	seen := make([]bool, totalInserted+1)
 	delCount := make([]uint8, totalInserted+1)
-	var dup, phantom, mismatch uint64
-	var firstDetail string
 	for _, e := range events {
 		if !e.Del {
 			r.Inserts++
 			keyByID[e.ID] = e.Key
 			seen[e.ID] = true
+		}
+	}
+	var dup, phantom, mismatch, lost uint64
+	var firstDetail, firstLost string
+	count := func(n *uint64, first *string, format string, args ...any) {
+		*n++
+		if *first == "" {
+			*first = fmt.Sprintf(format, args...)
+		}
+	}
+	for _, e := range events {
+		if !e.Del {
 			continue
 		}
 		r.Deletions++
 		switch {
 		case e.ID == 0 || e.ID > totalInserted || !seen[e.ID]:
-			phantom++
-			if firstDetail == "" {
-				firstDetail = fmt.Sprintf("first: id %d key %d never inserted", e.ID, e.Key)
-			}
+			count(&phantom, &firstDetail, "first: id %d key %d never inserted", e.ID, e.Key)
+			continue
 		case keyByID[e.ID] != e.Key:
-			mismatch++
-			if firstDetail == "" {
-				firstDetail = fmt.Sprintf("first: id %d returned key %d, inserted as %d", e.ID, e.Key, keyByID[e.ID])
-			}
+			count(&mismatch, &firstDetail, "first: id %d returned key %d, inserted as %d", e.ID, e.Key, keyByID[e.ID])
 		case delCount[e.ID] > 0:
-			dup++
-			if firstDetail == "" {
-				firstDetail = fmt.Sprintf("first: id %d key %d", e.ID, e.Key)
-			}
+			count(&dup, &firstDetail, "first: id %d key %d", e.ID, e.Key)
 		}
 		if delCount[e.ID] < 255 {
 			delCount[e.ID]++
 		}
 	}
-	var lost uint64
-	var firstLost string
 	for id := uint64(1); id <= totalInserted; id++ {
 		if seen[id] && delCount[id] == 0 {
-			lost++
-			if firstLost == "" {
-				firstLost = fmt.Sprintf("first: id %d key %d", id, keyByID[id])
-			}
+			count(&lost, &firstLost, "first: id %d key %d", id, keyByID[id])
 		}
 	}
 	if phantom > 0 {
@@ -505,10 +415,10 @@ func (r CheckResult) String() string {
 	}
 	boundStr := "(none)"
 	if r.Kind != quality.BoundNone {
-		boundStr = fmt.Sprintf("%d+%d", r.Bound, r.Slack)
+		boundStr = fmt.Sprint(r.Bound)
 	}
-	s := fmt.Sprintf("%-14s ins=%-8d del=%-8d drained=%-7d maxrank=%-8d bound=%-12s inj=%-6d %s",
-		r.Name, r.Inserts, r.Deletions, r.Drained, r.Quality.MaxRank, boundStr,
+	s := fmt.Sprintf("%-14s ins=%-8d del=%-8d drained=%-7d maxrank=%-8d definite=%-6d bound=%-8s inj=%-6d %s",
+		r.Name, r.Inserts, r.Deletions, r.Drained, r.Quality.MaxRank, r.Quality.MaxDefinite, boundStr,
 		r.Injected.TotalHits(), verdict)
 	if r.PoolCreated > 0 {
 		s += fmt.Sprintf("  [pool peak=%d created=%d steals=%d]",

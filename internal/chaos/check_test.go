@@ -2,14 +2,18 @@ package chaos_test
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cpq/internal/chaos"
 	"cpq/internal/core"
+	"cpq/internal/hunt"
+	"cpq/internal/keys"
 	"cpq/internal/multiq"
 	"cpq/internal/pq"
 	"cpq/internal/quality"
 	"cpq/internal/seqheap"
+	"cpq/internal/workload"
 )
 
 func small(name string, f func(int) pq.Queue) chaos.CheckConfig {
@@ -22,13 +26,30 @@ func small(name string, f func(int) pq.Queue) chaos.CheckConfig {
 	}
 }
 
+// TestCheckPassesStrictQueue: strict queues pass with no deletion above
+// rank 0, over several seeds. hunt's deletion holds the root until its
+// detached bottom item sits there; without that, a concurrent deletion can
+// miss the detached item and return a larger key, a window that shows
+// mostly under the race detector.
 func TestCheckPassesStrictQueue(t *testing.T) {
-	res := chaos.Check(small("globallock", func(int) pq.Queue { return seqheap.NewGlobalLock() }))
-	if res.Failed() {
-		t.Fatalf("strict queue failed chaos check (seed %d):\n%s", res.Seed, res)
-	}
-	if res.Drained == 0 || res.Deletions == 0 {
-		t.Fatalf("degenerate run: %s", res)
+	for _, tc := range []struct {
+		name string
+		mk   func(int) pq.Queue
+	}{
+		{"globallock", func(int) pq.Queue { return seqheap.NewGlobalLock() }},
+		{"hunt", func(int) pq.Queue { return hunt.New(0) }},
+	} {
+		for s := uint64(1); s <= 8; s++ {
+			cfg := small(tc.name, tc.mk)
+			cfg.Seed = 99 * s
+			res := chaos.Check(cfg)
+			if res.Failed() {
+				t.Fatalf("strict queue %s failed chaos check (seed %d):\n%s", tc.name, res.Seed, res)
+			}
+			if res.Drained == 0 || res.Deletions == 0 {
+				t.Fatalf("degenerate run: %s", res)
+			}
+		}
 	}
 }
 
@@ -94,6 +115,104 @@ func TestCheckDetectsLostItems(t *testing.T) {
 	}
 	if !hasViolation(res, "lost") {
 		t.Fatalf("lost items not reported:\n%s", res)
+	}
+}
+
+// plantQueue wraps a global-lock heap so that once per 1,000 deletions
+// (across all handles) a DeleteMin pops the pos+1 smallest items, returns
+// the last of them and reinserts the others: a deletion of rank pos.
+// planted counts the returns that really have rank pos: those that popped
+// pos+1 items, the last with a larger key than the one before it.
+type plantQueue struct {
+	pq.Queue
+	pos     int
+	n       atomic.Uint64
+	planted atomic.Uint64
+}
+
+func (q *plantQueue) Handle() pq.Handle { return &plantHandle{Handle: q.Queue.Handle(), q: q} }
+
+type plantHandle struct {
+	pq.Handle
+	q      *plantQueue
+	popped []pq.KV
+}
+
+func (h *plantHandle) DeleteMin() (uint64, uint64, bool) {
+	if h.q.n.Add(1)%1000 != 0 {
+		return h.Handle.DeleteMin()
+	}
+	h.popped = h.popped[:0]
+	for len(h.popped) <= h.q.pos {
+		k, v, ok := h.Handle.DeleteMin()
+		if !ok {
+			break
+		}
+		h.popped = append(h.popped, pq.KV{Key: k, Value: v})
+	}
+	if len(h.popped) == 0 {
+		return 0, 0, false
+	}
+	last := h.popped[len(h.popped)-1]
+	for _, kv := range h.popped[:len(h.popped)-1] {
+		h.Handle.Insert(kv.Key, kv.Value)
+	}
+	if len(h.popped) == h.q.pos+1 && h.popped[h.q.pos-1].Key < last.Key {
+		h.q.planted.Add(1)
+	}
+	return last.Key, last.Value, true
+}
+
+// TestCheckDetectsBoundViolation plants deletions one rank above a claimed
+// bound: a strict queue that returns its second-smallest item, and an
+// "slsm4" (bound 4 at any P) that returns its sixth-smallest, each once per
+// 1,000 deletions. The chaos checker and the quality verdict must both
+// catch them at 1 and 4 threads. At 1 thread nothing runs concurrently, so
+// the verdict must count exactly the planted deletions.
+func TestCheckDetectsBoundViolation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pos  int
+	}{
+		{"globallock", 1},
+		{"slsm4", 5},
+	} {
+		for _, threads := range []int{1, 4} {
+			var q *plantQueue
+			mk := func(int) pq.Queue {
+				q = &plantQueue{Queue: seqheap.NewGlobalLock(), pos: tc.pos}
+				return q
+			}
+			cfg := small(tc.name, mk)
+			cfg.Threads = threads
+			res := chaos.Check(cfg)
+			if !hasViolation(res, "relaxation bound") {
+				t.Errorf("%s at %d threads: %d planted deletions passed the chaos check:\n%s",
+					tc.name, threads, q.planted.Load(), res)
+			}
+			if v := quality.ViolationsAbove(res.Quality, res.Bound); threads == 1 && v != q.planted.Load() {
+				t.Errorf("%s: chaos check counted %d violations, %d planted", tc.name, v, q.planted.Load())
+			}
+
+			qres := quality.Run(quality.Config{
+				NewQueue:     mk,
+				Threads:      threads,
+				OpsPerThread: 10_000,
+				Workload:     workload.Uniform,
+				KeyDist:      keys.Uniform32,
+				Prefill:      4000,
+				Seed:         99,
+			})
+			bound, _ := quality.ClaimedBound(tc.name, threads+1)
+			v := quality.ViolationsAbove(qres, bound)
+			if v == 0 {
+				t.Errorf("%s at %d threads: %d planted deletions passed the quality verdict (max definite rank %d)",
+					tc.name, threads, q.planted.Load(), qres.MaxDefinite)
+			}
+			if threads == 1 && v != q.planted.Load() {
+				t.Errorf("%s: quality verdict counted %d violations, %d planted", tc.name, v, q.planted.Load())
+			}
+		}
 	}
 }
 

@@ -46,10 +46,6 @@ func TestChaosCheckDurable(t *testing.T) {
 				OpsPerThread: 1500,
 				OpBatch:      8,
 				Seed:         7,
-				// A durable delete holds its popped item through a whole
-				// commit wait before the checker can stamp it; the default
-				// stamping slack absorbs that window.
-				Slack: -1,
 			})
 			if res.Failed() {
 				t.Fatalf("durable %s failed chaos check (seed %d):\n%s", fam, res.Seed, res)
@@ -123,7 +119,6 @@ func TestChaosSeedReplayIdentical(t *testing.T) {
 			Threads:      2,
 			OpsPerThread: 800,
 			Seed:         1234,
-			Slack:        -1,
 		})
 		return dumpStore(t, store), dq.Stats().Records, res
 	}

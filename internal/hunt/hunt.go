@@ -19,8 +19,20 @@
 // and the size lock is never requested while holding a node lock, so the
 // two directions cannot deadlock.
 //
-// Registry identifier: "hunt". The queue is strict at quiescence;
-// cmd/pqverify checks it against rank 0. It appears in the extension-queue
+// # Deviation from the original
+//
+// The original deletion detaches the bottom item under the size lock and
+// only then locks the root. Until that item reaches the root no other
+// deletion can see it, so a deletion in that window returns a larger key
+// when the detached item is the newest one, even if its insert has already
+// returned. Here a deletion locks the root under the size lock, before the
+// bottom slot (lock order: size lock, root, bottom slot), and holds it
+// until the detached item sits at the root. That makes the queue strict
+// under concurrency, not only at quiescence, at the cost of holding the
+// root across the detach.
+//
+// Registry identifier: "hunt"; strict (cmd/pqverify checks that no
+// deletion has a definite rank above 0). It appears in the extension-queue
 // grid of EXPERIMENTS.md, where it shows the design's known profile: fast
 // at one thread, degrading fastest with contention (the global size lock
 // and root serialize both operation kinds).
@@ -191,27 +203,26 @@ func (h *Handle) DeleteMin() (key, value uint64, ok bool) {
 	}
 	bottom := slotFor(q.count)
 	q.count--
+	// Lock the root before detaching the bottom item and hold it until that
+	// item sits at the root: a deletion that ran in between would not see
+	// the detached item, and could return a larger key than it.
+	root := q.nodeAt(1)
+	root.mu.Lock()
+	if bottom == 1 {
+		// The heap held a single item; it is the minimum.
+		q.heapLock.Unlock()
+		min := root.it
+		root.tag = tagEmpty
+		root.mu.Unlock()
+		return min.Key, min.Value, true
+	}
 	bn := q.nodeAt(bottom)
 	bn.mu.Lock()
 	q.heapLock.Unlock()
 	moved := bn.it
 	bn.tag = tagEmpty
 	bn.mu.Unlock()
-	if bottom == 1 {
-		// The heap held a single item; it is the minimum.
-		return moved.Key, moved.Value, true
-	}
 
-	root := q.nodeAt(1)
-	root.mu.Lock()
-	if root.tag == tagEmpty {
-		// A concurrent deletion consumed the root as its own bottom slot
-		// (the count hit zero while we were detaching our substitute).
-		// Slot 1 is always occupied while the count is positive, so our
-		// in-hand item is the only live one: return it directly.
-		root.mu.Unlock()
-		return moved.Key, moved.Value, true
-	}
 	min := root.it
 	root.it = moved
 	root.tag = tagAvailable

@@ -14,10 +14,10 @@
 // the scan steps lost to that head contention (DESIGN.md §5).
 //
 // Registry identifier: "lotan"; strict at quiescence (cmd/pqverify checks
-// rank 0 within stamping slack). It shares internal/skiplist with linden
-// and spray, which makes it the exact-scan control in the spray-vs-scan
-// ablation (DESIGN.md §10): same substrate, strict head scan instead of a
-// spray walk.
+// that no deletion has a definite rank above 0). It shares
+// internal/skiplist with linden and spray, which makes it the exact-scan
+// control in the spray-vs-scan ablation (DESIGN.md §10): same substrate,
+// strict head scan instead of a spray walk.
 package lotan
 
 import (

@@ -15,9 +15,9 @@
 // toward the root, hand-over-hand, parent locked before child.
 //
 // Registry identifier: "mound"; strict at quiescence (cmd/pqverify checks
-// rank 0 within stamping slack). The randomized insertion probe needs a
-// per-goroutine RNG, which lives on the Handle — one more reason handles
-// must not be shared between goroutines.
+// that no deletion has a definite rank above 0). The randomized insertion
+// probe needs a per-goroutine RNG, which lives on the Handle — one more
+// reason handles must not be shared between goroutines.
 package mound
 
 import (

@@ -103,27 +103,14 @@ func EffectiveP(name string, peakLive, created int) int {
 	return peakLive
 }
 
-// ViolationsAbove counts replayed deletions whose rank exceeded bound,
-// using the result's power-of-two histogram buckets (conservative: a
-// bucket straddling the bound is counted only when it lies entirely above).
+// ViolationsAbove counts the replayed deletions whose definite rank
+// exceeds bound. A definite rank never overstates a deletion's rank, so
+// every deletion it counts violates the bound in every linearization of
+// the log.
 func ViolationsAbove(res Result, bound int) uint64 {
-	if res.MaxRank <= bound {
-		return 0
-	}
 	var v uint64
-	for b, c := range res.Histogram {
-		if c == 0 {
-			continue
-		}
-		lo := 0
-		if b == 1 {
-			lo = 1
-		} else if b > 1 {
-			lo = 1 << (b - 1)
-		}
-		if lo > bound {
-			v += c
-		}
+	for r := max(bound+1, 0); r < len(res.Definite); r++ {
+		v += res.Definite[r]
 	}
 	return v
 }

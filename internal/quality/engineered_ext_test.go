@@ -47,32 +47,21 @@ func TestEngineeredReplayLossless(t *testing.T) {
 	q := multiq.NewEngineered(2, 1, 4, 8)
 	h := q.Handle()
 	r := rng.New(3)
-	var events []quality.Event
-	var seq uint64
+	var rec quality.Recorder
+	lg := rec.Log(0)
+	kv := make([]pq.KV, 1)
 	const n = 5000
 	for i := 0; i < n; i++ {
-		k := r.Uint64() % 10000
-		id := uint64(i + 1)
-		seq++
-		events = append(events, quality.MakeEvent(seq, id, k, false))
-		h.Insert(k, id)
+		kv[0].Key = r.Uint64() % 10000
+		lg.Insert(h, kv)
 		if i%3 == 0 {
-			if k, id, ok := h.DeleteMin(); ok {
-				seq++
-				events = append(events, quality.MakeEvent(seq, id, k, true))
-			}
+			lg.DeleteMin(h, kv)
 		}
 	}
 	pq.Flush(h)
-	for {
-		k, id, ok := h.DeleteMin()
-		if !ok {
-			break
-		}
-		seq++
-		events = append(events, quality.MakeEvent(seq, id, k, true))
+	for lg.DeleteMin(h, kv) == 1 {
 	}
-	res := quality.Replay(events)
+	res := quality.Replay(rec.Events())
 	if res.Deletions != n {
 		t.Fatalf("replayed %d deletions of %d inserted items — item lost or duplicated", res.Deletions, n)
 	}

@@ -7,25 +7,27 @@
 // paper reports as mean ± standard deviation per thread count.
 //
 // Where the paper reconstructs the linear order from logged timestamps,
-// this implementation stamps each operation with a global atomic sequence
-// number: inserts are stamped immediately BEFORE taking effect and
-// deletions immediately AFTER returning, so for any single item the insert
-// always precedes its deletion in the reconstructed history. Like the
-// paper's own benchmark, the reconstruction is pessimistic — concurrent
-// operations may be ordered adversely and duplicate keys inflate ranks —
-// so reported ranks are upper bounds on the semantic error.
+// this implementation stamps every call at invocation and at response on
+// one atomic clock (Recorder), and Replay derives two ranks per deletion:
+//
+//   - The pessimistic rank is the paper's: inserts ordered by invocation
+//     and deletions by response. Concurrent operations may be ordered
+//     adversely and duplicate keys count pessimistically, so it bounds the
+//     semantic error from above. Result's mean, stddev, maximum and
+//     histogram report it, and so do the paper's tables.
+//   - The definite rank counts the smaller keys that every linearization
+//     of the log places in the queue when the deletion takes effect. It
+//     bounds the error from below, so a definite rank above a queue's
+//     claimed bound is a real violation: verdicts judge it
+//     (ViolationsAbove) with no slack.
 package quality
 
 import (
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"cpq/internal/keys"
-	"cpq/internal/ostree"
 	"cpq/internal/pq"
 	"cpq/internal/rng"
-	"cpq/internal/stats"
 	"cpq/internal/workload"
 )
 
@@ -52,11 +54,9 @@ type Config struct {
 	BatchSize int
 	// OpBatch as in the throughput harness: with OpBatch >= 2 the measured
 	// phase moves items through InsertN/DeleteMinN in batches of this width.
-	// A batch is logged as OpBatch ordinary events sharing ONE sequence
-	// stamp — the batch call is one synchronization episode, so its items
-	// are mutually concurrent in the reconstructed history (inserts stamped
-	// before the call takes effect, deletions after it returns, as in the
-	// scalar discipline). 0/1 is the scalar mode.
+	// A batch call's items share its invocation and response stamps, so
+	// they are mutually concurrent in the replayed history. 0/1 is the
+	// scalar mode.
 	OpBatch int
 	// Seed for reproducibility (0 → fixed default).
 	Seed uint64
@@ -91,30 +91,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Event is one logged operation of a linear history. The quality harness
-// produces them internally; the chaos checker (internal/chaos) builds its
-// own histories and feeds them to Replay, which is why the type is
-// exported.
-type Event struct {
-	Seq uint64 // global order stamp
-	ID  uint64 // unique item identity (assigned at insert)
-	Key uint64
-	Del bool
-}
-
 // Result summarizes the rank errors of one run.
 type Result struct {
 	// Deletions is the number of successful delete_min operations replayed.
 	Deletions uint64
-	// MeanRank and StddevRank summarize the rank distribution
+	// MeanRank and StddevRank summarize the pessimistic rank distribution
 	// (rank 0 = exact minimum).
 	MeanRank   float64
 	StddevRank float64
-	// MaxRank is the worst rank observed.
+	// MaxRank is the worst pessimistic rank observed.
 	MaxRank int
-	// Histogram counts ranks in power-of-two buckets: bucket i counts
-	// ranks in [2^(i-1), 2^i) with bucket 0 counting rank 0... rank 1.
+	// Histogram counts pessimistic ranks in power-of-two buckets: bucket i
+	// counts ranks in [2^(i-1), 2^i) with bucket 0 counting rank 0... rank 1.
 	Histogram []uint64
+	// Definite counts deletions by definite rank: Definite[r] deletions
+	// had definite rank r. MaxDefinite is the largest definite rank.
+	Definite    []uint64
+	MaxDefinite int
 	// PoolPeakLive and PoolCreated are the handle pool's statistics for a
 	// UsePool run (zero otherwise); feed them to EffectiveP to get the
 	// handle count the claimed bound should be judged against.
@@ -149,26 +142,22 @@ func Run(cfg Config) Result {
 		release = func(h pq.Handle) { pool.Release(h.(*pq.PooledHandle)) }
 	}
 
-	var seq atomic.Uint64
-	var nextID atomic.Uint64
+	var rec Recorder
 
 	// Prefill, logged.
-	prefillEvents := make([]Event, 0, cfg.Prefill)
 	{
 		h := acquire()
-		r := rng.New(cfg.Seed ^ 0xd1b54a32d192ed03)
-		gen := keys.NewGenerator(cfg.KeyDist, r)
+		lg := rec.Log(cfg.Prefill)
+		gen := keys.NewGenerator(cfg.KeyDist, rng.New(cfg.Seed^0xd1b54a32d192ed03))
+		kv := make([]pq.KV, 1)
 		for i := 0; i < cfg.Prefill; i++ {
-			k := gen.Next()
-			id := nextID.Add(1)
-			prefillEvents = append(prefillEvents, Event{Seq: seq.Add(1), ID: id, Key: k})
-			h.Insert(k, id)
+			kv[0].Key = gen.Next()
+			lg.Insert(h, kv)
 		}
 		release(h)
 	}
 
 	// Measured phase.
-	logs := make([][]Event, cfg.Threads)
 	var start = make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Threads; w++ {
@@ -176,64 +165,29 @@ func Run(cfg Config) Result {
 		go func(w int) {
 			defer wg.Done()
 			h := acquire()
+			lg := rec.Log(cfg.OpsPerThread)
 			r := rng.New(cfg.Seed + uint64(w)*0x6a09e667f3bcc909)
 			gen := keys.NewGenerator(cfg.KeyDist, r)
 			policy := workload.ForWorkerBatched(cfg.Workload, w, cfg.Threads, cfg.InsertFrac, cfg.BatchSize, r)
-			local := make([]Event, 0, cfg.OpsPerThread)
+			b := max(cfg.OpBatch, 1)
+			kvs := make([]pq.KV, b) // b == 1: scalar Insert/DeleteMin calls
 			<-start
-			if cfg.OpBatch > 1 {
-				b := cfg.OpBatch
-				kvs := make([]pq.KV, b)
-				for i := 0; i < cfg.OpsPerThread; i += b {
-					if pool != nil && i > 0 && i%poolChunk < b {
-						// Elastic lifecycle: give the handle back (flushing
-						// its buffers) and take one from the pool again.
-						release(h)
-						h = acquire()
-					}
-					if policy.Next() == workload.Insert {
-						// One stamp for the whole batch, taken BEFORE the call
-						// takes effect; the batch's items are mutually
-						// concurrent in the history.
-						s := seq.Add(1)
-						for j := range kvs {
-							k := gen.Next()
-							id := nextID.Add(1)
-							kvs[j] = pq.KV{Key: k, Value: id}
-							local = append(local, Event{Seq: s, ID: id, Key: k})
-						}
-						pq.InsertN(h, kvs)
-					} else {
-						got := pq.DeleteMinN(h, kvs, b)
-						// One stamp AFTER the call returned, shared by every
-						// item the batch removed.
-						s := seq.Add(1)
-						for j := 0; j < got; j++ {
-							gen.Observe(kvs[j].Key)
-							local = append(local, Event{Seq: s, ID: kvs[j].Value, Key: kvs[j].Key, Del: true})
-						}
-					}
+			for i := 0; i < cfg.OpsPerThread; i += b {
+				if pool != nil && i > 0 && i%poolChunk < b {
+					// Elastic lifecycle: give the handle back (flushing its
+					// buffers) and take one from the pool again.
+					release(h)
+					h = acquire()
 				}
-			} else {
-				for i := 0; i < cfg.OpsPerThread; i++ {
-					if pool != nil && i > 0 && i%poolChunk == 0 {
-						release(h)
-						h = acquire()
+				if policy.Next() == workload.Insert {
+					for j := range kvs {
+						kvs[j].Key = gen.Next()
 					}
-					if policy.Next() == workload.Insert {
-						k := gen.Next()
-						id := nextID.Add(1)
-						// Stamp BEFORE the insert takes effect.
-						local = append(local, Event{Seq: seq.Add(1), ID: id, Key: k})
-						h.Insert(k, id)
-					} else {
-						k, id, ok := h.DeleteMin()
-						if ok {
-							gen.Observe(k)
-							// Stamp AFTER the delete returned.
-							local = append(local, Event{Seq: seq.Add(1), ID: id, Key: k, Del: true})
-						}
-					}
+					lg.Insert(h, kvs)
+					continue
+				}
+				for _, kv := range kvs[:lg.DeleteMin(h, kvs)] {
+					gen.Observe(kv.Key)
 				}
 			}
 			// Publish buffered operations (engineered MultiQueue) before the
@@ -242,76 +196,15 @@ func Run(cfg Config) Result {
 			// the shared structure, so the replay neither loses nor
 			// duplicates items. (Pool mode: Release flushes.)
 			release(h)
-			logs[w] = local
 		}(w)
 	}
 	close(start)
 	wg.Wait()
 
-	// Merge into a single linear history ordered by stamp. The sort must be
-	// stable: a batch call logs its items under one shared stamp, and their
-	// append order (insertion order, deletion order) is the order the replay
-	// should see them in.
-	all := prefillEvents
-	for _, l := range logs {
-		all = append(all, l...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-
-	res := Replay(all)
+	res := Replay(rec.Events())
 	if pool != nil {
 		res.PoolPeakLive = pool.PeakLive()
 		res.PoolCreated = pool.Created()
 	}
 	return res
-}
-
-// Replay runs a linear history against the order-statistics tree and
-// aggregates the rank of every deletion.
-func Replay(history []Event) Result {
-	var tree ostree.Tree
-	var acc stats.Welford
-	res := Result{Histogram: make([]uint64, 1)}
-	for _, e := range history {
-		if !e.Del {
-			tree.Insert(e.Key, e.ID)
-			continue
-		}
-		rank, ok := tree.Delete(e.Key, e.ID)
-		if !ok {
-			// The item is missing from the replay tree. With the stamping
-			// discipline this cannot happen for a correct queue; count it
-			// as a worst-case observation rather than silently dropping.
-			continue
-		}
-		res.Deletions++
-		acc.Add(float64(rank))
-		if rank > res.MaxRank {
-			res.MaxRank = rank
-		}
-		b := bucketOf(rank)
-		for len(res.Histogram) <= b {
-			res.Histogram = append(res.Histogram, 0)
-		}
-		res.Histogram[b]++
-	}
-	res.MeanRank = acc.Mean()
-	res.StddevRank = acc.Stddev()
-	return res
-}
-
-// bucketOf maps a rank to its histogram bucket: 0→0, 1→1, 2..3→2, 4..7→3...
-func bucketOf(rank int) int {
-	b := 0
-	for rank > 0 {
-		rank >>= 1
-		b++
-	}
-	return b
-}
-
-// MakeEvent builds a log event; a shorthand for Event literals kept for
-// tests of Replay.
-func MakeEvent(seq, id, key uint64, del bool) Event {
-	return Event{Seq: seq, ID: id, Key: key, Del: del}
 }

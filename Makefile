@@ -113,10 +113,12 @@ pqd-smoke:
 # the fsync boundary and at every concurrent-snapshot phase boundary,
 # the producer-stall test, and the end-to-end kill/recover/conserve test
 # that SIGKILLs a durable pqd child mid-traffic and proves the restart
-# conserves every acknowledged item (DESIGN.md §8).
+# conserves every acknowledged item (DESIGN.md §8). The recovery benchmark
+# runs once, without the race detector, so it keeps building.
 durable:
 	$(GO) test -race -count=1 ./internal/durable/...
 	$(GO) test -race -count=1 -run TestKillRecoverConserve ./cmd/pqd/
+	$(GO) test -count=1 -run '^$$' -bench Recover -benchtime 1x ./internal/durable/
 
 # The goroutine-churn acceptance bench alone: pool vs naive lifecycle on
 # the churn acceptance queues, with abandonment, as a readable table.

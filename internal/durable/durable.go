@@ -79,7 +79,6 @@ type Queue struct {
 	nextSnap   uint64          // next snapshot index to claim
 	base       liveSet         // live multiset as of baseSeg
 	baseSeg    uint64          // first WAL segment not folded into base
-	recoverSeg uint64          // segments below this came from a previous process
 	snapHook   func(SnapPhase) // test hook at snapshot phase boundaries
 
 	closeMu sync.Mutex // serializes Close end-to-end (idempotent result)
@@ -89,7 +88,9 @@ type Queue struct {
 // already holds state — a snapshot and/or WAL segments from a previous
 // process — it is replayed into inner before the queue accepts
 // operations, and logging continues in a fresh WAL segment (recovered
-// segments are never appended to).
+// segments are never appended to). The recovered set is also the
+// snapshotter's base, so the first snapshot folds only the segments
+// this process writes.
 func Wrap(inner pq.Queue, opts Options) (*Queue, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 1 << 20
@@ -118,28 +119,28 @@ func Wrap(inner pq.Queue, opts Options) (*Queue, error) {
 
 	tel := telemetry.NewShard()
 	q := &Queue{
-		inner:      inner,
-		name:       "dur:" + inner.Name(),
-		store:      store,
-		ownStore:   own,
-		w:          newWAL(store, st.nextSeg, opts.SegmentBytes, tel),
-		tel:        tel,
-		snapEvery:  opts.SnapshotEvery,
-		h:          inner.Handle(),
-		nextSnap:   st.nextSnap,
-		base:       liveSet{items: st.base},
-		baseSeg:    st.baseSeg,
-		recoverSeg: st.nextSeg,
+		inner:     inner,
+		name:      "dur:" + inner.Name(),
+		store:     store,
+		ownStore:  own,
+		w:         newWAL(store, st.nextSeg, opts.SegmentBytes, tel),
+		tel:       tel,
+		snapEvery: opts.SnapshotEvery,
+		h:         inner.Handle(),
+		nextSnap:  st.nextSnap,
+		base:      liveSet{items: st.items},
+		baseSeg:   st.nextSeg,
 	}
 	if len(st.items) > 0 {
 		if telemetry.Enabled {
 			tel.Add(telemetry.DurReplayItems, uint64(len(st.items)))
 		}
-		for off := 0; off < len(st.items); off += 1 << 12 {
-			end := min(off+1<<12, len(st.items))
-			chunk := make([]pq.KV, end-off)
-			copy(chunk, st.items[off:end]) // InsertN may reorder; keep st.items intact
-			pq.InsertN(q.h, chunk)
+		// InsertN may reorder its slice, and st.items is the snapshot
+		// base, so the rebuild goes through one reused copy: InsertN
+		// never retains the slice it is given.
+		chunk := make([]pq.KV, min(len(st.items), 1<<12))
+		for off := 0; off < len(st.items); off += len(chunk) {
+			pq.InsertN(q.h, chunk[:copy(chunk, st.items[off:])])
 		}
 		pq.Flush(q.h)
 	}

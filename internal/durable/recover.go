@@ -5,29 +5,34 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 
 	"cpq/internal/durable/kv"
 	"cpq/internal/pq"
 )
 
 // recoveredState is what a store replay yields: the exact live multiset,
-// plus the bookkeeping the reopened queue continues from.
+// plus the bookkeeping the reopened queue continues from. The live set
+// is also the reopened snapshotter's base, as of nextSeg: the first
+// snapshot of the new process folds only the segments it writes itself.
 type recoveredState struct {
 	items    []pq.KV // live set, sorted (key, then value) — deterministic
 	nextSeg  uint64  // first segment index the new WAL may write
 	nextSnap uint64  // next snapshot index to use
-	base     []pq.KV // live multiset as of baseSeg (the snapshot base), sorted
-	baseSeg  uint64  // first segment NOT folded into base
 }
 
 // segmentRecords walks one WAL segment's operation records in log order,
 // handing fn each insert batch (del = false) and delete batch.
 // Snapshot-begin markers are replay-inert; partial-snapshot chunks never
-// legally appear inside a WAL segment. Recovery and the snapshot fold
-// both read segments through it, so the two can never disagree about
-// what a segment means.
-func segmentRecords(data []byte, segIdx uint64, fn func(del bool, kvs []pq.KV) error) error {
-	return decodeRecords(data, func(kind byte, kvs []pq.KV) error {
+// legally appear inside a WAL segment. A torn final record is dropped
+// when newest is set — the end of a crashed store's newest segment is
+// the one spot a crash between Append and Sync can leave one, and the
+// operation it belonged to was never acknowledged — and is corruption
+// anywhere else: every other segment was synced whole before the next
+// one was cut. Recovery and the snapshot fold both read segments
+// through it, so the two can never disagree about what a segment means.
+func segmentRecords(data []byte, segIdx uint64, newest bool, fn func(del bool, kvs []pq.KV) error) error {
+	err := decodeRecords(data, func(kind byte, kvs []pq.KV) error {
 		switch kind {
 		case recInsert, recDelete:
 			return fn(kind == recDelete, kvs)
@@ -37,31 +42,13 @@ func segmentRecords(data []byte, segIdx uint64, fn func(del bool, kvs []pq.KV) e
 			return fmt.Errorf("%w: partial-snapshot chunk inside WAL segment %d", ErrCorrupt, segIdx)
 		}
 	})
-}
-
-// applySegRecords folds one WAL segment's records into counts. The
-// recovery invariant (DESIGN.md §8d): records were appended under the
-// queue's op mutex, so log order is operation order and a delete always
-// follows the insert that produced its item — a negative count proves
-// corruption, not reordering.
-func applySegRecords(data []byte, segIdx uint64, counts map[pq.KV]int) error {
-	return segmentRecords(data, segIdx, func(del bool, kvs []pq.KV) error {
-		for _, it := range kvs {
-			if !del {
-				counts[it]++
-				continue
-			}
-			counts[it]--
-			if counts[it] < 0 {
-				return fmt.Errorf("%w: delete of (%d,%d) with no matching insert in segment %d",
-					ErrCorrupt, it.Key, it.Value, segIdx)
-			}
-			if counts[it] == 0 {
-				delete(counts, it)
-			}
+	if errors.Is(err, ErrTorn) {
+		if newest {
+			return nil // unacknowledged final record dropped
 		}
-		return nil
-	})
+		return fmt.Errorf("%w: %w, and it is not the newest", ErrCorrupt, err)
+	}
+	return err
 }
 
 // liveSet is the snapshotter's cached live multiset: a sorted slice of
@@ -77,17 +64,15 @@ type liveSet struct {
 }
 
 // fold advances the set over the WAL segments in [from, to): their
-// inserted pairs merged in, their deleted pairs taken out. A delete must
-// match an item of the set or of the folded inserts; one that matches
-// nothing is corruption. Segments below tornOK may legally end in a torn
-// record (they were recovered from a previous process, whose final
-// unsynced append a crash could truncate); the torn record was never
-// acknowledged, so it is dropped. A torn record in a segment this
-// process sealed is corruption. A missing segment holds no records:
-// rotation can skip creating a segment that never received a synced
-// byte (a seal cuts to a fresh segment that the next seal may
-// immediately supersede). On error the set is unchanged.
-func (ls *liveSet) fold(store kv.Store, from, to, tornOK uint64) error {
+// inserted pairs merged in, their deleted pairs taken out. Every segment
+// it reads was sealed by this process (recovery hands the snapshotter a
+// base as of the first segment the new WAL writes), so a torn record is
+// corruption. A delete must match an item of the set or of the folded
+// inserts; one that matches nothing is corruption too. A missing segment
+// holds no records: rotation can skip creating a segment that never
+// received a synced byte (a seal cuts to a fresh segment that the next
+// seal may immediately supersede). On error the set is unchanged.
+func (ls *liveSet) fold(store kv.Store, from, to uint64) error {
 	ins, del := ls.ins[:0], ls.del[:0]
 	for idx := from; idx < to; idx++ {
 		data, found, err := store.Get(segKey(idx))
@@ -97,7 +82,7 @@ func (ls *liveSet) fold(store kv.Store, from, to, tornOK uint64) error {
 		if !found {
 			continue
 		}
-		err = segmentRecords(data, idx, func(isDel bool, kvs []pq.KV) error {
+		err = segmentRecords(data, idx, false, func(isDel bool, kvs []pq.KV) error {
 			if isDel {
 				del = append(del, kvs...)
 			} else {
@@ -105,9 +90,6 @@ func (ls *liveSet) fold(store kv.Store, from, to, tornOK uint64) error {
 			}
 			return nil
 		})
-		if errors.Is(err, ErrTorn) && idx < tornOK {
-			err = nil // legal torn tail: unacknowledged final record dropped
-		}
 		if err != nil {
 			return fmt.Errorf("WAL segment %d: %w", idx, err)
 		}
@@ -136,8 +118,17 @@ func (ls *liveSet) fold(store kv.Store, from, to, tornOK uint64) error {
 				ErrCorrupt, del[d].Key, del[d].Value, from, to)
 		}
 	}
-	// Take the deletes out of both runs in place, the same way, then
-	// merge the surviving inserts into the set from the back.
+	ls.items = mergeSorted(items, ins, del)
+	return nil
+}
+
+// mergeSorted applies a batch of changes to a sorted multiset in place:
+// it takes one occurrence of each del pair out of items ∪ ins, then
+// merges the surviving inserts into items from the back, and returns
+// the grown items. All three runs are sorted, and every del pair must
+// occur in items or ins (the caller checks this first). The snapshot
+// fold and the recovery replay both change a sorted base through it.
+func mergeSorted(items, ins, del []pq.KV) []pq.KV {
 	items, ins = removeSorted(items, ins, del)
 	n, i := len(items)+len(ins), len(items)-1
 	items = slices.Grow(items, len(ins))[:n]
@@ -148,13 +139,12 @@ func (ls *liveSet) fold(store kv.Store, from, to, tornOK uint64) error {
 			items[k], j = ins[j], j-1
 		}
 	}
-	ls.items = items
-	return nil
+	return items
 }
 
 // removeSorted takes one occurrence of each del pair out of a ∪ b, all
 // three sorted, compacting a and b in place; a pair in both goes from a.
-// Every del pair must occur (fold checks this first).
+// Every del pair must occur.
 func removeSorted(a, b, del []pq.KV) ([]pq.KV, []pq.KV) {
 	var ar, aw, br, bw int
 	for _, d := range del {
@@ -181,7 +171,9 @@ func removeSorted(a, b, del []pq.KV) ([]pq.KV, []pq.KV) {
 // manifest there is no legal torn state — any decode failure is
 // corruption.
 func decodePart(data []byte, wantCount uint64) ([]pq.KV, error) {
-	var items []pq.KV
+	// Every pair takes 16 bytes of the part, so a lying count cannot
+	// force a larger allocation than the part itself.
+	items := make([]pq.KV, 0, min(wantCount, uint64(len(data)/recPair)))
 	err := decodeRecords(data, func(kind byte, kvs []pq.KV) error {
 		if kind != recSnapChunk {
 			return fmt.Errorf("%w: record kind %d inside a partial snapshot", ErrCorrupt, kind)
@@ -205,9 +197,12 @@ func decodePart(data []byte, wantCount uint64) ([]pq.KV, error) {
 // replayStore reconstructs the live set from a store: the newest
 // committed snapshot base (manifest + chunked part), then every WAL
 // segment at or above the base's nextSeg, in order. A torn final record
-// is tolerated only at the very end of the newest segment — the one spot
-// a crash between Append and Sync can legally leave one. The operation
-// it belonged to was never acknowledged, so dropping it is correct.
+// is tolerated only at the very end of the newest segment (see
+// segmentRecords).
+//
+// The base is already sorted, so only the tail's changes are sorted:
+// the tail is replayed into the net change per pair, and those changes
+// are merged into the base (DESIGN.md §8d).
 //
 // nextSnap is claimed past every snapshot index that exists in any form
 // — committed manifests and orphan parts from attempts that died before
@@ -234,6 +229,7 @@ func replayStore(store kv.Store) (recoveredState, error) {
 	}
 
 	// Newest committed manifest wins.
+	var base []pq.KV
 	loaded := false
 	for i := len(manifests) - 1; i >= 0 && !loaded; i-- {
 		idx, ok := parseIndexed(manifests[i], "manifest/")
@@ -260,23 +256,16 @@ func replayStore(store kv.Store) (recoveredState, error) {
 				return st, fmt.Errorf("%w: manifest %s committed but its part is missing",
 					ErrCorrupt, manifests[i])
 			}
-		} else if st.base, err = decodePart(part, count); err != nil {
+		} else if base, err = decodePart(part, count); err != nil {
 			return st, fmt.Errorf("part %s: %w", partKey(idx), err)
 		}
 		st.nextSeg = nextSeg
 		loaded = true
 	}
-	// The base multiset — the live set as of nextSeg — seeds the
-	// reopened queue's incremental snapshot cache, so the first snapshot
-	// of the new process only folds the tail, not history. Snapshots
-	// write their parts sorted; sorting again costs one pass over sorted
-	// input and keeps the fold's merge correct whatever the part holds.
-	st.baseSeg = st.nextSeg
-	slices.SortFunc(st.base, cmpKV)
-	counts := make(map[pq.KV]int, len(st.base))
-	for _, it := range st.base {
-		counts[it]++
-	}
+	// Snapshots write their parts sorted; sorting again costs one pass
+	// over sorted input and keeps the merge correct whatever the part
+	// holds.
+	slices.SortFunc(base, cmpKV)
 
 	segs, err := store.List("wal/")
 	if err != nil {
@@ -290,6 +279,13 @@ func replayStore(store kv.Store) (recoveredState, error) {
 	}
 	slices.Sort(live)
 
+	// Records were appended under the queue's op mutex, so log order is
+	// operation order and a delete always follows the insert that
+	// produced its item. A delete that takes a pair's base copies plus
+	// net change below zero proves corruption, not reordering. The base
+	// is not counted: a pair's copies in it are found by binary search,
+	// and only when a delete leaves the pair's net change negative.
+	delta := make(map[pq.KV]int)
 	for n, idx := range live {
 		data, found, err := store.Get(segKey(idx))
 		if err != nil {
@@ -298,20 +294,56 @@ func replayStore(store kv.Store) (recoveredState, error) {
 		if !found {
 			continue
 		}
-		err = applySegRecords(data, idx, counts)
-		if errors.Is(err, ErrTorn) && n == len(live)-1 {
-			err = nil // legal torn tail: unacknowledged final record dropped
-		}
+		err = segmentRecords(data, idx, n == len(live)-1, func(del bool, kvs []pq.KV) error {
+			for _, it := range kvs {
+				d := delta[it]
+				if del {
+					d--
+				} else {
+					d++
+				}
+				if del && d < 0 && copiesOf(base, it)+d < 0 {
+					return fmt.Errorf("%w: delete of (%d,%d) with no matching insert in segment %d",
+						ErrCorrupt, it.Key, it.Value, idx)
+				}
+				if d == 0 {
+					delete(delta, it)
+				} else {
+					delta[it] = d
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return st, fmt.Errorf("WAL segment %d: %w", idx, err)
 		}
-		if idx >= st.nextSeg {
-			st.nextSeg = idx + 1
-		}
+		st.nextSeg = idx + 1
 	}
 
-	st.items = flattenCounts(counts)
+	ins := make([]pq.KV, 0, len(delta))
+	var del []pq.KV
+	for it, d := range delta {
+		for ; d > 0; d-- {
+			ins = append(ins, it)
+		}
+		for ; d < 0; d++ {
+			del = append(del, it)
+		}
+	}
+	slices.SortFunc(ins, cmpKV)
+	slices.SortFunc(del, cmpKV)
+	if len(base) == 0 {
+		st.items = ins // no base copies, so the check left no deletes
+	} else {
+		st.items = mergeSorted(base, ins, del)
+	}
 	return st, nil
+}
+
+// copiesOf counts the occurrences of it in the sorted items.
+func copiesOf(items []pq.KV, it pq.KV) int {
+	lo, _ := slices.BinarySearchFunc(items, it, cmpKV)
+	return sort.Search(len(items)-lo, func(i int) bool { return items[lo+i] != it })
 }
 
 // ReplayStore reconstructs the live item multiset a store holds, sorted
@@ -325,19 +357,6 @@ func ReplayStore(store kv.Store) ([]pq.KV, error) {
 		return nil, err
 	}
 	return st.items, nil
-}
-
-// flattenCounts expands a live multiset into the deterministic sorted
-// item slice every consumer of recovery state relies on.
-func flattenCounts(counts map[pq.KV]int) []pq.KV {
-	items := make([]pq.KV, 0, len(counts))
-	for it, c := range counts {
-		for j := 0; j < c; j++ {
-			items = append(items, it)
-		}
-	}
-	slices.SortFunc(items, cmpKV)
-	return items
 }
 
 // cmpKV orders pairs by key, then value: the order of every sorted item

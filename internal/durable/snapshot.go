@@ -120,10 +120,9 @@ func (q *Queue) takeSnapshot() {
 	q.snapPhase(SnapBegin)
 
 	// Fold the segments frozen since the last snapshot into the cached
-	// base multiset. Only segments recovered from a previous process may
-	// legally end torn (their tear predates this process's first sync);
-	// anything this process sealed is complete or the store is lying.
-	if err := q.base.fold(q.store, q.baseSeg, cut, q.recoverSeg); err != nil {
+	// base multiset. Recovery hands over a base as of the first segment
+	// this process writes, so every folded segment was sealed here.
+	if err := q.base.fold(q.store, q.baseSeg, cut); err != nil {
 		q.poison(err)
 		return
 	}

@@ -167,48 +167,87 @@ func TestAppendPathAllocs(t *testing.T) {
 	}
 }
 
-// TestLiveSetFold checks the snapshot fold's in-place merge against a
-// map-counted multiset over random insert/delete logs with duplicates,
-// and that a delete matching nothing is corruption that leaves the set
-// unchanged.
+// flattenCounts expands a map-counted multiset into the sorted item
+// slice recovery and the snapshot fold must produce: the reference the
+// fold and replay tests compare against.
+func flattenCounts(counts map[pq.KV]int) []pq.KV {
+	items := make([]pq.KV, 0, len(counts))
+	for it, c := range counts {
+		for j := 0; j < c; j++ {
+			items = append(items, it)
+		}
+	}
+	slices.SortFunc(items, cmpKV)
+	return items
+}
+
+// writeSnapshot commits items to store as snapshot idx, covering the WAL
+// segments below nextSeg: a chunked part, then its manifest, laid out as
+// takeSnapshot lays them out.
+func writeSnapshot(t *testing.T, store kv.Store, idx, nextSeg uint64, items []pq.KV) {
+	t.Helper()
+	for off := 0; off < len(items); off += snapChunkItems {
+		chunk := items[off:min(off+snapChunkItems, len(items))]
+		if err := store.Append(partKey(idx), appendRecord(nil, recSnapChunk, chunk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := store.Update(func(tx kv.Tx) error {
+		tx.Set(manifestKey(idx), encodeManifest(nextSeg, uint64(len(items))))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLiveSetFold checks the snapshot fold's in-place merge, and the
+// recovery replay's merge of a WAL tail into a snapshot base, against a
+// map-counted multiset over random insert/delete logs with duplicates.
+// A delete matching nothing is corruption that leaves the folded set
+// unchanged, and a delete logged before its insert is corruption to
+// recovery.
 func TestLiveSetFold(t *testing.T) {
 	r := rng.New(7)
 	item := func() pq.KV { k := r.Uint64() % 64; return pq.KV{Key: k, Value: k % 3} }
+	// record logs one random insert or delete batch; a delete takes up
+	// to 4 items of live, chosen at random among its copies.
+	record := func(live map[pq.KV]int) []byte {
+		kvs := make([]pq.KV, 1+r.Uint64()%5)
+		if r.Uint64()%2 == 0 && len(live) > 0 {
+			kvs = kvs[:min(len(kvs), 4)]
+			for i := range kvs {
+				all := flattenCounts(live)
+				if len(all) == 0 {
+					kvs = kvs[:i]
+					break
+				}
+				kvs[i] = all[r.Uint64()%uint64(len(all))]
+				if live[kvs[i]]--; live[kvs[i]] == 0 {
+					delete(live, kvs[i])
+				}
+			}
+			return appendRecord(nil, recDelete, kvs)
+		}
+		for i := range kvs {
+			kvs[i] = item()
+			live[kvs[i]]++
+		}
+		return appendRecord(nil, recInsert, kvs)
+	}
+
 	var ls liveSet
 	live := map[pq.KV]int{}
 	for seg := uint64(0); seg < 40; seg++ {
 		store := kv.NewInmem()
 		var buf []byte
 		for rec := 0; rec < 1+int(r.Uint64()%6); rec++ {
-			kind, kvs := byte(recInsert), make([]pq.KV, 1+r.Uint64()%5)
-			if r.Uint64()%2 == 0 && len(live) > 0 {
-				kind = recDelete
-				kvs = kvs[:0]
-				for it, c := range live { // delete up to 4 live items
-					if len(kvs) == 4 {
-						break
-					}
-					for ; c > 0 && len(kvs) < 4; c-- {
-						kvs = append(kvs, it)
-					}
-				}
-				for _, it := range kvs {
-					if live[it]--; live[it] == 0 {
-						delete(live, it)
-					}
-				}
-			} else {
-				for i := range kvs {
-					kvs[i] = item()
-					live[kvs[i]]++
-				}
-			}
-			buf = appendRecord(buf, kind, kvs)
+			buf = append(buf, record(live)...)
 		}
 		if err := store.Append(segKey(seg), buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := ls.fold(store, seg, seg+1, 0); err != nil {
+		if err := ls.fold(store, seg, seg+1); err != nil {
 			t.Fatalf("segment %d: %v", seg, err)
 		}
 		if want := flattenCounts(live); !slices.Equal(ls.items, want) {
@@ -216,15 +255,81 @@ func TestLiveSetFold(t *testing.T) {
 		}
 	}
 
+	// An unmatched delete, and a torn record: every segment a fold reads
+	// was sealed whole by this process.
 	before := slices.Clone(ls.items)
-	store := kv.NewInmem()
-	if err := store.Append(segKey(0), appendRecord(nil, recDelete, []pq.KV{{Key: 1 << 40, Value: 0}})); err != nil {
-		t.Fatal(err)
+	ins := appendRecord(nil, recInsert, []pq.KV{{Key: 1, Value: 1}})
+	for name, seg := range map[string][]byte{
+		"unmatched delete": appendRecord(nil, recDelete, []pq.KV{{Key: 1 << 40, Value: 0}}),
+		"torn record":      append(slices.Clone(ins), ins[:len(ins)-1]...),
+	} {
+		store := kv.NewInmem()
+		if err := store.Append(segKey(0), seg); err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.fold(store, 0, 1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s folded with err %v", name, err)
+		}
+		if !slices.Equal(ls.items, before) {
+			t.Fatalf("a failed fold (%s) changed the set", name)
+		}
 	}
-	if err := ls.fold(store, 0, 1, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("unmatched delete folded with err %v", err)
-	}
-	if !slices.Equal(ls.items, before) {
-		t.Fatal("a failed fold changed the set")
+
+	// Recovery: a random sorted base under a snapshot, then a random
+	// multi-segment tail that deletes base items and its own earlier
+	// inserts, sometimes ending in a torn record.
+	for trial := 0; trial < 60; trial++ {
+		store := kv.NewInmem()
+		live := map[pq.KV]int{}
+		base := make([]pq.KV, r.Uint64()%40)
+		for i := range base {
+			base[i] = item()
+			live[base[i]]++
+		}
+		slices.SortFunc(base, cmpKV)
+		first := 1 + r.Uint64()%3
+		writeSnapshot(t, store, 0, first, base)
+		// A segment the snapshot covers, left by a crash before its
+		// truncation: replay must not read it.
+		if err := store.Append(segKey(first-1), appendRecord(nil, recDelete, []pq.KV{{Key: 1 << 41}})); err != nil {
+			t.Fatal(err)
+		}
+		last := first + r.Uint64()%4
+		for seg := first; seg <= last; seg++ {
+			var buf []byte
+			for rec := 0; rec < 1+int(r.Uint64()%6); rec++ {
+				buf = append(buf, record(live)...)
+			}
+			if seg == last && trial%3 == 0 {
+				buf = append(buf, appendRecord(nil, recInsert, []pq.KV{item()})[:20]...) // torn
+			}
+			if err := store.Append(segKey(seg), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := replayStore(store)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if want := flattenCounts(live); !slices.Equal(st.items, want) {
+			t.Fatalf("trial %d: replay holds %v, want %v", trial, st.items, want)
+		}
+		if st.nextSeg != last+1 {
+			t.Fatalf("trial %d: nextSeg = %d, want %d", trial, st.nextSeg, last+1)
+		}
+
+		if trial%3 == 0 {
+			continue // a later segment would make the tear corruption
+		}
+		// The same log plus a delete of a new pair logged before its
+		// insert: the tail's multiset balances, its order does not.
+		fresh := pq.KV{Key: 1 << 40, Value: uint64(trial)}
+		late := append(appendRecord(nil, recDelete, []pq.KV{fresh}), appendRecord(nil, recInsert, []pq.KV{fresh})...)
+		if err := store.Append(segKey(last+1), late); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := replayStore(store); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("trial %d: a delete before its insert replayed with err %v", trial, err)
+		}
 	}
 }

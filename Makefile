@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-quick bench-engineered bench-klsm bench-skiplist bench-churn bench-net pqd-smoke durable check chaos repro verify profile examples clean
+.PHONY: all build test race vet bench bench-quick bench-engineered bench-klsm bench-subheap bench-skiplist bench-churn bench-net pqd-smoke durable check chaos repro verify profile examples clean
 
 all: build vet test
 
@@ -30,7 +30,8 @@ race:
 # chaos pass over the whole registry (scalar, batch widths, and pooled
 # handle lifecycles), pqbench smoke runs
 # of the batch-width grid (widths 1 and 8), the goroutine-churn cells (pool
-# and naive lifecycles) and the latency mode's CSV, a pqload smoke, and the
+# and naive lifecycles) and the latency mode's CSV, a pqload smoke, one
+# pass of the sequential sub-heap benchmark (so it keeps building), and the
 # vet and tests of the separate benchmark module (bench/), which the root
 # module's ./... does not reach.
 #
@@ -58,6 +59,7 @@ check:
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_CHURN) -churn-naive > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqbench -queues multiq -threads 1,2 -ops 2000 -prefill 1000 -csv > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqload -smoke > /dev/null
+	$(GO) test -run '^$$' -bench SubHeap -benchtime 1x ./internal/seqheap/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-injection stress pass: every registry queue under seeded schedule
@@ -85,6 +87,14 @@ bench-engineered:
 # microbench; benchstat-comparable output, allocs/op via -benchmem.
 bench-klsm:
 	$(GO) test -bench='^BenchmarkKLSM' -benchmem -benchtime=1s -count=3 .
+
+# The MultiQueue sub-heap benches: every sequential substrate (binary,
+# 4-ary, pairing) at the sub-heap shapes of bench/'s fig4a and split-asc
+# workloads, then the root sub-heap ablation (the fig-4a cell through each
+# substrate); benchstat-comparable output.
+bench-subheap:
+	$(GO) test -run '^$$' -bench='^BenchmarkSubHeap$$' -benchtime=200000x -count=3 ./internal/seqheap/
+	$(GO) test -run '^$$' -bench='^BenchmarkAblationMultiQueueSubHeap$$' -benchtime=1s -count=3 .
 
 # The skiplist-substrate acceptance benches: the fig-4a uniform-workload
 # cell at 8 threads for linden/spray/lotan plus the single-threaded linden

@@ -27,9 +27,11 @@ import (
 	"cpq/internal/cli"
 	"cpq/internal/harness"
 	"cpq/internal/keys"
+	"cpq/internal/multiq"
 	"cpq/internal/pq"
 	"cpq/internal/quality"
 	"cpq/internal/rng"
+	"cpq/internal/seqheap"
 	"cpq/internal/workload"
 )
 
@@ -225,15 +227,18 @@ func BenchmarkAblationSprayVsScan(b *testing.B) {
 	}
 }
 
-// AblationMultiQueueSubHeap compares binary vs. 4-ary sub-heaps inside the
-// MultiQueue (Larkin-Sen-Tarjan style sequential-heap engineering).
+// AblationMultiQueueSubHeap compares the MultiQueue's sequential sub-heaps
+// (Larkin-Sen-Tarjan style sequential-heap engineering): the paper's binary
+// heap, the default 4-ary heap and a pairing heap.
 func BenchmarkAblationMultiQueueSubHeap(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		mk   func(t int) pq.Queue
 	}{
-		{"binary", func(t int) pq.Queue { return cpq.NewMultiQueue(4, t) }},
-		{"4ary", func(t int) pq.Queue { return cpq.NewMultiQueueDAry(4, t, 4) }},
+		{"binary", func(t int) pq.Queue {
+			return multiq.NewWith(4, t, func() multiq.SubHeap { return &seqheap.Heap{} })
+		}},
+		{"4ary", func(t int) pq.Queue { return cpq.NewMultiQueue(4, t) }},
 		{"pairing", func(t int) pq.Queue { return cpq.NewMultiQueuePairing(4, t) }},
 	} {
 		for _, p := range benchThreads {

@@ -123,14 +123,8 @@ func NewSprayListParams(p int, params spray.Params) *spray.Queue {
 }
 
 // NewMultiQueue returns a MultiQueue with c·p sequential sub-queues
-// (c <= 0 selects the paper's c = 4).
+// (c <= 0 selects the paper's c = 4), each a 4-ary heap.
 func NewMultiQueue(c, p int) *multiq.Queue { return multiq.New(c, p) }
-
-// NewMultiQueueDAry returns a MultiQueue whose sub-queues are d-ary heaps
-// instead of binary heaps (the sub-heap ablation).
-func NewMultiQueueDAry(c, p, d int) *multiq.Queue {
-	return multiq.NewWith(c, p, func() multiq.SubHeap { return seqheap.NewDHeap(d, 0) })
-}
 
 // NewMultiQueueEngineered returns the engineered MultiQueue of Williams and
 // Sanders ("Engineering MultiQueues", arXiv:2107.01350): the classic c·p

@@ -17,42 +17,6 @@ import (
 // engineered variant with buffer size = batch width, a trade the quality
 // harness measures rather than assumes away.
 
-// BatchPusher is implemented by sub-heaps that can push several items in
-// one call (seqheap.Heap does); the batch insert paths use it to amortize
-// the per-item interface dispatch.
-type BatchPusher interface {
-	PushN(its []pq.Item)
-}
-
-// pushAll pushes every element of kvs into sh.
-func pushAll(sh SubHeap, kvs []pq.KV) {
-	if bp, ok := sh.(BatchPusher); ok {
-		bp.PushN(kvs)
-		return
-	}
-	for _, kv := range kvs {
-		sh.Push(kv)
-	}
-}
-
-// popInto pops up to max items from sh in ascending order into a prefix
-// of dst (cap(dst) must be >= max) and returns how many were popped.
-func popInto(sh SubHeap, dst []pq.KV, max int) int {
-	if bp, ok := sh.(BatchPopper); ok {
-		return len(bp.PopN(dst[:0], max))
-	}
-	got := 0
-	for got < max {
-		it, ok := sh.Pop()
-		if !ok {
-			break
-		}
-		dst[got] = it
-		got++
-	}
-	return got
-}
-
 var _ pq.BatchInserter = (*Handle)(nil)
 var _ pq.BatchDeleter = (*Handle)(nil)
 
@@ -71,7 +35,7 @@ func (h *Handle) InsertN(kvs []pq.KV) {
 		// Failpoint: a forced try-lock failure redirects the whole batch to
 		// another sub-queue, like a genuinely contended lock.
 		if !chaos.ShouldFail(chaos.MQLock) && s.mu.TryLock() {
-			pushAll(s.heap, kvs)
+			s.heap.PushN(kvs)
 			s.updateMin()
 			s.mu.Unlock()
 			h.tel.Add(telemetry.BatchInsertItems, uint64(n))
@@ -82,7 +46,7 @@ func (h *Handle) InsertN(kvs []pq.KV) {
 	s := qs[h.rng.Uintn(nq)]
 	chaos.Perturb(chaos.MQLock)
 	s.mu.Lock()
-	pushAll(s.heap, kvs)
+	s.heap.PushN(kvs)
 	s.updateMin()
 	s.mu.Unlock()
 	h.tel.Add(telemetry.BatchInsertItems, uint64(n))
@@ -112,7 +76,9 @@ func (h *Handle) DeleteMinN(dst []pq.KV, n int) int {
 			if chaos.ShouldFail(chaos.MQLock) || !s.mu.TryLock() {
 				continue
 			}
-			m := popInto(s.heap, dst[got:], n-got)
+			// dst[got:got] has room for n-got items, so PopN fills dst
+			// in place.
+			m := len(s.heap.PopN(dst[got:got], n-got))
 			if m > 0 {
 				s.updateMin()
 			}
@@ -164,9 +130,9 @@ func (h *EHandle) InsertN(kvs []pq.KV) {
 		// steals from other handles pile up against the batch.
 		chaos.Perturb(chaos.MQFlush)
 		s := h.lockForInsert()
-		pushAll(s.heap, h.ins)
+		s.heap.PushN(h.ins)
 		h.ins = h.ins[:0]
-		pushAll(s.heap, kvs)
+		s.heap.PushN(kvs)
 		s.updateMin()
 		s.mu.Unlock()
 	} else {

@@ -47,25 +47,12 @@ const (
 	DefaultBuffer     = 8
 )
 
-// BatchPopper is implemented by sub-heaps that can pop several minima in
-// one call (all seqheap substrates do); the engineered MultiQueue uses it
-// to refill its deletion buffer under a single lock acquisition.
-type BatchPopper interface {
-	PopN(dst []pq.Item, max int) []pq.Item
-}
-
 // NewEngineered returns an engineered MultiQueue with c·p sub-queues,
 // stickiness s and per-handle buffer size b. c <= 0 selects DefaultC;
 // s and b are clamped to 1 (1 = extension disabled). With s <= 1 and
 // b <= 1 the queue degenerates to the seed MultiQueue except for its name.
 func NewEngineered(c, p, s, b int) *Queue {
-	return NewEngineeredWith(c, p, s, b, nil)
-}
-
-// NewEngineeredWith is NewEngineered with an explicit sub-heap factory
-// (nil selects the binary heap).
-func NewEngineeredWith(c, p, s, b int, mkHeap func() SubHeap) *Queue {
-	q := NewWith(c, p, mkHeap)
+	q := New(c, p)
 	if s < 1 {
 		s = 1
 	}
@@ -150,9 +137,7 @@ func (h *EHandle) flushInsLocked() {
 	// steals from other handles pile up against the buffered items.
 	chaos.Perturb(chaos.MQFlush)
 	s := h.lockForInsert()
-	for _, it := range h.ins {
-		s.heap.Push(it)
-	}
+	s.heap.PushN(h.ins)
 	s.updateMin()
 	s.mu.Unlock()
 	h.ins = h.ins[:0]
@@ -283,17 +268,7 @@ func (h *EHandle) refillNLocked(want int) (pq.Item, bool) {
 // stores them into dst reversed (descending), so the deletion buffer is
 // served from the slice end in O(1).
 func popBatchDescending(sh SubHeap, dst []pq.Item, max int) []pq.Item {
-	if bp, ok := sh.(BatchPopper); ok {
-		dst = bp.PopN(dst, max)
-	} else {
-		for len(dst) < max {
-			it, ok := sh.Pop()
-			if !ok {
-				break
-			}
-			dst = append(dst, it)
-		}
-	}
+	dst = sh.PopN(dst, max)
 	for i, j := 0, len(dst)-1; i < j; i, j = i+1, j-1 {
 		dst[i], dst[j] = dst[j], dst[i]
 	}
@@ -381,9 +356,7 @@ func (h *EHandle) Flush() {
 	h.flushInsLocked()
 	if len(h.del) > 0 {
 		s := h.lockForInsert()
-		for _, it := range h.del {
-			s.heap.Push(it)
-		}
+		s.heap.PushN(h.del)
 		s.updateMin()
 		s.mu.Unlock()
 		h.del = h.del[:0]

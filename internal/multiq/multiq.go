@@ -3,8 +3,7 @@
 // designs and, per the paper's conclusion, the most consistent performer.
 //
 // The structure consists of c·P sequential priority queues, each protected
-// by its own lock (the paper uses std::priority_queue; here the equivalent
-// seqheap.Heap). Inserts push to a uniformly random queue; delete_min peeks
+// by its own lock. Inserts push to a uniformly random queue; delete_min peeks
 // at two uniformly random queues and pops from the one with the smaller
 // minimum ("power of two choices" load balancing). No bound on the rank
 // error has been proved ("no obvious guarantees on the order of deleted
@@ -13,6 +12,14 @@
 //
 // Each sub-queue caches its current minimum key in an atomic word so
 // delete_min's comparison never takes locks it will not use.
+//
+// The sub-queues are 4-ary heaps (seqheap.QuadHeap), not the paper's
+// std::priority_queue, a binary heap. Popping a sub-queue sifts an item
+// down the whole heap, and at the benchmark's sizes (10^6 items over 8
+// sub-queues) that walk leaves the cache: the 4-ary heap takes half the
+// levels, each one cache line of 4 siblings, and raised throughput on
+// both in-process workloads of bench/ (DESIGN.md §10). NewWith keeps the
+// binary heap selectable for the sub-heap ablation.
 //
 // NewEngineered builds the engineered variant of Williams and Sanders
 // (stickiness + per-handle operation buffers); see engineered.go.
@@ -41,12 +48,15 @@ const emptyKey = math.MaxUint64
 // when c·p is small and every sub-queue stays contended.
 const insertTryLimit = 16
 
-// SubHeap is the sequential priority queue backing one sub-queue. The
-// paper uses std::priority_queue (a binary heap); the suite also provides
-// d-ary heaps for the sub-heap ablation (seqheap.DHeap).
+// SubHeap is the sequential priority queue backing one sub-queue; every
+// seqheap substrate implements it. PushN and PopN move a batch under the
+// one lock acquisition a batch call or a buffer flush or refill pays; PopN
+// appends up to max smallest items to dst in ascending key order.
 type SubHeap interface {
 	Push(pq.Item)
+	PushN([]pq.Item)
 	Pop() (pq.Item, bool)
+	PopN(dst []pq.Item, max int) []pq.Item
 	Min() (pq.Item, bool)
 	Len() int
 }
@@ -105,13 +115,13 @@ var _ pq.Queue = (*Queue)(nil)
 var _ pq.Grower = (*Queue)(nil)
 
 // New returns a MultiQueue with c·p sub-queues (c <= 0 selects DefaultC,
-// p < 1 is treated as 1), each backed by a binary heap as in the paper.
+// p < 1 is treated as 1), each backed by a 4-ary heap.
 func New(c, p int) *Queue {
 	return NewWith(c, p, nil)
 }
 
-// NewWith is New with an explicit sub-heap factory (nil selects the binary
-// heap). Used by the d-ary sub-heap ablation.
+// NewWith is New with an explicit sub-heap factory (nil selects the 4-ary
+// heap). Used by the sub-heap ablation.
 func NewWith(c, p int, mkHeap func() SubHeap) *Queue {
 	if c <= 0 {
 		c = DefaultC
@@ -120,7 +130,7 @@ func NewWith(c, p int, mkHeap func() SubHeap) *Queue {
 		p = 1
 	}
 	if mkHeap == nil {
-		mkHeap = func() SubHeap { return &seqheap.Heap{} }
+		mkHeap = func() SubHeap { return &seqheap.QuadHeap{} }
 	}
 	q := &Queue{c: c, stick: 1, buf: 1, name: "multiq", mkHeap: mkHeap}
 	q.p.Store(int32(p))

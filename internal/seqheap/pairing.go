@@ -7,7 +7,7 @@ import "cpq/internal/pq"
 // Queues" (the study behind the paper's sorting-benchmark remark). Insert
 // and meld are O(1); delete-min is O(log n) amortized via two-pass pairing.
 // It rounds out the sequential-substrate ablation against the implicit
-// binary and d-ary heaps: pointer structure vs. array locality.
+// binary and 4-ary heaps: pointer structure vs. array locality.
 //
 // The zero value is an empty heap ready for use. Not safe for concurrent
 // use; wrap it (e.g. as a MultiQueue SubHeap) for concurrent access.
@@ -31,6 +31,13 @@ func (h *PairingHeap) Push(it pq.Item) {
 	node := h.alloc(it)
 	h.root = meldPair(h.root, node)
 	h.n++
+}
+
+// PushN inserts every element of its.
+func (h *PairingHeap) PushN(its []pq.Item) {
+	for _, it := range its {
+		h.Push(it)
+	}
 }
 
 // Min returns the minimum item without removing it.

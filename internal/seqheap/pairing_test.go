@@ -108,16 +108,3 @@ func TestPairingFreelistRecycles(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkPairingPushPop(b *testing.B) {
-	var h PairingHeap
-	r := rng.New(1)
-	for i := 0; i < 1024; i++ {
-		h.Push(pq.Item{Key: r.Uint64()})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Push(pq.Item{Key: r.Uint64()})
-		h.Pop()
-	}
-}

@@ -1,12 +1,13 @@
-// Package seqheap provides a sequential binary min-heap and the GlobalLock
-// baseline queue built from it.
+// Package seqheap provides the sequential min-heaps of the suite and the
+// GlobalLock baseline queue built from one of them.
 //
 // The paper uses "a simple, standardized sequential priority queue
 // implementation protected by a global lock ... to establish a baseline for
 // acceptable performance" (std::priority_queue + lock in the C++ code). The
-// Heap type here is the std::priority_queue equivalent; it is also reused as
-// the per-queue building block of the MultiQueue and by the quality
-// benchmark's replay machinery.
+// binary Heap here is the std::priority_queue equivalent and backs
+// GlobalLock. QuadHeap, a 4-ary heap whose sibling groups each fill one
+// cache line, backs every MultiQueue sub-queue; PairingHeap completes the
+// MultiQueue's sub-heap ablation.
 package seqheap
 
 import (

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cpq/internal/keys"
 	"cpq/internal/pq"
 	"cpq/internal/rng"
 )
@@ -185,58 +186,40 @@ func TestGlobalLockStrictOrderUnderConcurrency(t *testing.T) {
 	}
 }
 
-func BenchmarkHeapPushPop(b *testing.B) {
-	var h Heap
-	r := rng.New(1)
-	for i := 0; i < 1024; i++ {
-		h.Push(pq.Item{Key: r.Uint64()})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Push(pq.Item{Key: r.Uint64()})
-		h.Pop()
-	}
+// batchHeap is the surface the MultiQueue uses of every sequential
+// substrate (multiq.SubHeap's batch half).
+type batchHeap interface {
+	PushN([]pq.Item)
+	PopN([]pq.Item, int) []pq.Item
+	Len() int
 }
 
-// TestPopN covers the batch-pop used by the engineered MultiQueue on every
-// sequential substrate: ascending order, partial batches, and reuse of dst.
+// substrates lists every sequential substrate of the package.
+var substrates = []struct {
+	name string
+	mk   func() batchHeap
+}{
+	{"binary", func() batchHeap { return &Heap{} }},
+	{"4ary", func() batchHeap { return &QuadHeap{} }},
+	{"pairing", func() batchHeap { return &PairingHeap{} }},
+}
+
+// TestPopN covers the batch push and pop the MultiQueue uses on every
+// sequential substrate: ascending order, partial batches, batches past Len
+// and reuse of dst.
 func TestPopN(t *testing.T) {
-	substrates := []struct {
-		name string
-		mk   func() interface {
-			Push(pq.Item)
-			PopN([]pq.Item, int) []pq.Item
-			Len() int
-		}
-	}{
-		{"binary", func() interface {
-			Push(pq.Item)
-			PopN([]pq.Item, int) []pq.Item
-			Len() int
-		} {
-			return &Heap{}
-		}},
-		{"4ary", func() interface {
-			Push(pq.Item)
-			PopN([]pq.Item, int) []pq.Item
-			Len() int
-		} {
-			return NewDHeap(4, 0)
-		}},
-		{"pairing", func() interface {
-			Push(pq.Item)
-			PopN([]pq.Item, int) []pq.Item
-			Len() int
-		} {
-			return &PairingHeap{}
-		}},
-	}
 	for _, sub := range substrates {
 		t.Run(sub.name, func(t *testing.T) {
 			h := sub.mk()
 			r := rng.New(17)
-			for i := 0; i < 100; i++ {
-				h.Push(pq.Item{Key: r.Uint64() % 1000, Value: uint64(i)})
+			in := make([]pq.Item, 100)
+			for i := range in {
+				in[i] = pq.Item{Key: r.Uint64() % 1000, Value: uint64(i)}
+			}
+			h.PushN(in[:37])
+			h.PushN(in[37:])
+			if h.Len() != 100 {
+				t.Fatalf("PushN of 100 items left Len %d", h.Len())
 			}
 			got := h.PopN(nil, 10)
 			if len(got) != 10 || h.Len() != 90 {
@@ -257,5 +240,66 @@ func TestPopN(t *testing.T) {
 				t.Fatalf("PopN on empty heap returned %d items", len(out))
 			}
 		})
+	}
+}
+
+// sinkItems keeps the benchmark's pops observable to the compiler.
+var sinkItems []pq.Item
+
+// BenchmarkSubHeap times every substrate at the shapes MultiQueue sub-heaps
+// take in bench/'s in-process workloads, which serve multiq-s4-b8 to two
+// handles: 8 sub-heaps (c = 4 per handle) sharing fig4a's 10^6-item
+// prefill of uniform 32-bit keys, and 8 sub-heaps of 250k ascending keys,
+// split-asc's drift-upward keys in heaps that overflow a 2 MiB L2. One op
+// is one batch of 8 pushed into a random heap and one batch of 8 popped
+// from another, as one InsertN and one DeleteMinN move. Heaps of 1k items,
+// which fit in L1, hide the cache behaviour the substrates differ in.
+func BenchmarkSubHeap(b *testing.B) {
+	const heaps, batch = 8, 8
+	for _, shape := range []struct {
+		name string
+		dist keys.Distribution
+		size int // items per heap
+	}{
+		{"uniform32-125k", keys.Uniform32, 125_000},
+		{"ascending-250k", keys.Ascending, 250_000},
+	} {
+		for _, sub := range substrates {
+			b.Run(shape.name+"/"+sub.name, func(b *testing.B) {
+				r := rng.New(1)
+				gen := keys.NewGenerator(shape.dist, r)
+				hs := make([]batchHeap, heaps)
+				for i := range hs {
+					hs[i] = sub.mk()
+				}
+				in := make([]pq.Item, batch)
+				fill := func() {
+					for i := range in {
+						in[i] = pq.Item{Key: gen.Next()}
+					}
+				}
+				for i := 0; i < shape.size/batch; i++ {
+					for _, h := range hs {
+						fill()
+						h.PushN(in)
+					}
+				}
+				// One untimed pop per heap: a pairing heap's first pop after
+				// the prefill pairs every pushed root.
+				out := make([]pq.Item, 0, batch)
+				for _, h := range hs {
+					out = h.PopN(out[:0], batch)
+					h.PushN(out)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					fill()
+					hs[r.Uintn(heaps)].PushN(in)
+					out = hs[r.Uintn(heaps)].PopN(out[:0], batch)
+				}
+				b.StopTimer()
+				sinkItems = out
+			})
+		}
 	}
 }

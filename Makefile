@@ -19,7 +19,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# CI gate: vet + build everything, then the race-sensitive packages (the
+# CI gate: fail first if gofmt would change any tracked Go file (the
+# tracked list, not ".", which would also descend into the untracked
+# .bench_build/ and .smoke_build/ caches), then vet + build everything,
+# then the race-sensitive packages (the
 # engineered MultiQueue's buffer stealing, the k-LSM's pooled hot path with
 # spy/run-buffer stealing, the packed-word skiplist substrate and its
 # lock-free queues, the handle pool with its steal path and 0-alloc gate,
@@ -44,6 +47,8 @@ SMOKE_CELL  = -threads 8 -duration 30ms -reps 1 -prefill 2000
 SMOKE_GRID  = -queues globallock,multiq,multiq-s4-b8,klsm4096,linden $(SMOKE_CELL)
 SMOKE_CHURN = -queues klsm4096,multiq $(SMOKE_CELL) -churn 400 -churn-abandon 64
 check:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./internal/pq/ ./internal/core/ ./internal/multiq/ ./internal/skiplist/ ./internal/linden/ ./internal/spray/ ./internal/lotan/ ./internal/harness/ ./internal/quality/ ./internal/chaos/ ./internal/netpq/
@@ -88,13 +93,11 @@ bench-engineered:
 bench-klsm:
 	$(GO) test -bench='^BenchmarkKLSM' -benchmem -benchtime=1s -count=3 .
 
-# The MultiQueue sub-heap benches: every sequential substrate (binary,
-# 4-ary, pairing) at the sub-heap shapes of bench/'s fig4a and split-asc
-# workloads, then the root sub-heap ablation (the fig-4a cell through each
-# substrate); benchstat-comparable output.
+# The MultiQueue sub-heap kernel: the binary and 4-ary heaps at the
+# sub-heap shapes of bench/'s fig4a and split-asc workloads;
+# benchstat-comparable output.
 bench-subheap:
 	$(GO) test -run '^$$' -bench='^BenchmarkSubHeap$$' -benchtime=200000x -count=3 ./internal/seqheap/
-	$(GO) test -run '^$$' -bench='^BenchmarkAblationMultiQueueSubHeap$$' -benchtime=1s -count=3 .
 
 # The skiplist-substrate acceptance benches: the fig-4a uniform-workload
 # cell at 8 threads for linden/spray/lotan plus the single-threaded linden

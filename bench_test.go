@@ -27,11 +27,9 @@ import (
 	"cpq/internal/cli"
 	"cpq/internal/harness"
 	"cpq/internal/keys"
-	"cpq/internal/multiq"
 	"cpq/internal/pq"
 	"cpq/internal/quality"
 	"cpq/internal/rng"
-	"cpq/internal/seqheap"
 	"cpq/internal/workload"
 )
 
@@ -222,28 +220,6 @@ func BenchmarkAblationSprayVsScan(b *testing.B) {
 		for _, p := range benchThreads {
 			b.Run(fmt.Sprintf("%s/t%d", name, p), func(b *testing.B) {
 				benchThroughputCell(b, factory(name), p, workload.Uniform, keys.Uniform32)
-			})
-		}
-	}
-}
-
-// AblationMultiQueueSubHeap compares the MultiQueue's sequential sub-heaps
-// (Larkin-Sen-Tarjan style sequential-heap engineering): the paper's binary
-// heap, the default 4-ary heap and a pairing heap.
-func BenchmarkAblationMultiQueueSubHeap(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		mk   func(t int) pq.Queue
-	}{
-		{"binary", func(t int) pq.Queue {
-			return multiq.NewWith(4, t, func() multiq.SubHeap { return &seqheap.Heap{} })
-		}},
-		{"4ary", func(t int) pq.Queue { return cpq.NewMultiQueue(4, t) }},
-		{"pairing", func(t int) pq.Queue { return cpq.NewMultiQueuePairing(4, t) }},
-	} {
-		for _, p := range benchThreads {
-			b.Run(fmt.Sprintf("%s/t%d", tc.name, p), func(b *testing.B) {
-				benchThroughputCell(b, tc.mk, p, workload.Uniform, keys.Uniform32)
 			})
 		}
 	}

@@ -132,7 +132,7 @@ type workerLog struct {
 
 func replayDir(t *testing.T, dir string) []pq.KV {
 	t.Helper()
-	store, err := kv.OpenFile(dir)
+	store, err := kv.OpenMmap(dir, 0)
 	if err != nil {
 		t.Fatalf("open store %s: %v", dir, err)
 	}

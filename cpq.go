@@ -37,8 +37,8 @@
 //
 // The registry (NewQueue, Names) maps the paper's benchmark identifiers
 // ("klsm128", "linden", "spray", "multiq", "globallock", ...) to factories,
-// parameterized by an Options struct (intended thread count, per-structure
-// tuning). Unknown identifiers are reported as *UnknownQueueError.
+// parameterized by an Options struct (intended thread count, durability).
+// Unknown identifiers are reported as *UnknownQueueError.
 package cpq
 
 import (
@@ -117,11 +117,6 @@ func NewLindenBound(boundOffset int) *linden.Queue { return linden.New(boundOffs
 // NewSprayList returns a SprayList tuned for up to p concurrent threads.
 func NewSprayList(p int) *spray.Queue { return spray.New(p) }
 
-// NewSprayListParams returns a SprayList with explicit spray parameters.
-func NewSprayListParams(p int, params spray.Params) *spray.Queue {
-	return spray.NewParams(p, params)
-}
-
 // NewMultiQueue returns a MultiQueue with c·p sequential sub-queues
 // (c <= 0 selects the paper's c = 4), each a 4-ary heap.
 func NewMultiQueue(c, p int) *multiq.Queue { return multiq.New(c, p) }
@@ -159,12 +154,6 @@ func NewCBPQ() *cbpq.Queue { return cbpq.New() }
 // cost (pointer skiplist vs. array heap) from concurrency effects.
 func NewLockedSkiplist() *locksl.Queue { return locksl.New() }
 
-// NewMultiQueuePairing returns a MultiQueue whose sub-queues are pairing
-// heaps (sequential-substrate ablation).
-func NewMultiQueuePairing(c, p int) *multiq.Queue {
-	return multiq.NewWith(c, p, func() multiq.SubHeap { return &seqheap.PairingHeap{} })
-}
-
 // Options configures queue construction through the registry (NewQueue).
 // The zero value is valid: a single-threaded queue with every structure's
 // default tuning.
@@ -174,13 +163,6 @@ type Options struct {
 	// geometry, the MultiQueue's c·P sub-queue array) are sized for it;
 	// the rest ignore it. Values < 1 are treated as 1.
 	Threads int
-	// LindenBoundOffset overrides the Lindén-Jonsson physical-deletion
-	// batching threshold for "linden" (0 selects the default). Other
-	// queues ignore it.
-	LindenBoundOffset int
-	// SprayParams overrides the spray-walk tuning parameters for "spray"
-	// (nil selects the paper's defaults). Other queues ignore it.
-	SprayParams *spray.Params
 	// Durable, when non-nil, wraps the constructed queue in the durable
 	// tier (internal/durable): a group-commit write-ahead log plus
 	// periodic snapshots persisted under Durable.Dir, recovered on the
@@ -288,11 +270,8 @@ func newBase(name string, opts Options) (Queue, error) {
 	n := strings.ToLower(strings.TrimSpace(name))
 	switch {
 	case n == "linden":
-		return NewLindenBound(opts.LindenBoundOffset), nil
+		return NewLinden(), nil
 	case n == "spray", n == "spraylist":
-		if opts.SprayParams != nil {
-			return NewSprayListParams(threads, *opts.SprayParams), nil
-		}
 		return NewSprayList(threads), nil
 	case n == "multiq", n == "multiqueue":
 		return NewMultiQueue(multiq.DefaultC, threads), nil

@@ -20,32 +20,15 @@ import (
 var _ pq.BatchInserter = (*Handle)(nil)
 var _ pq.BatchDeleter = (*Handle)(nil)
 
-// InsertN implements pq.BatchInserter: one try-lock acquisition publishes
-// the whole batch to a uniformly random sub-queue (bounded try-locks,
-// then a blocking Lock, as in the scalar insert).
+// InsertN implements pq.BatchInserter: one lock acquisition (lockAny, as
+// in the scalar insert) publishes the whole batch to a uniformly random
+// sub-queue.
 func (h *Handle) InsertN(kvs []pq.KV) {
 	n := len(kvs)
 	if n == 0 {
 		return
 	}
-	qs := h.q.queues()
-	nq := uint64(len(qs))
-	for attempt := 0; attempt < insertTryLimit; attempt++ {
-		s := qs[h.rng.Uintn(nq)]
-		// Failpoint: a forced try-lock failure redirects the whole batch to
-		// another sub-queue, like a genuinely contended lock.
-		if !chaos.ShouldFail(chaos.MQLock) && s.mu.TryLock() {
-			s.heap.PushN(kvs)
-			s.updateMin()
-			s.mu.Unlock()
-			h.tel.Add(telemetry.BatchInsertItems, uint64(n))
-			h.tel.ObserveBatchWidth(n)
-			return
-		}
-	}
-	s := qs[h.rng.Uintn(nq)]
-	chaos.Perturb(chaos.MQLock)
-	s.mu.Lock()
+	_, s := lockAny(h.q.queues(), h.rng)
 	s.heap.PushN(kvs)
 	s.updateMin()
 	s.mu.Unlock()

@@ -37,6 +37,7 @@ import (
 	"cpq/internal/chaos"
 	"cpq/internal/pq"
 	"cpq/internal/rng"
+	"cpq/internal/seqheap"
 	"cpq/internal/telemetry"
 )
 
@@ -145,12 +146,10 @@ func (h *EHandle) flushInsLocked() {
 
 // lockForInsert acquires one sub-queue lock for a flush: the sticky target
 // if it still has reuses and its try-lock succeeds, otherwise a fresh
-// uniform sample (bounded try-locks, then a blocking Lock as in the seed
-// insert path). The chosen index becomes the new sticky target.
+// lockAny pick, which becomes the new sticky target.
 func (h *EHandle) lockForInsert() *subqueue {
 	q := h.q
 	qs := q.queues()
-	n := uint64(len(qs))
 	if h.insLeft > 0 {
 		s := qs[h.insQ] // sticky indices survive growth (prefix is shared)
 		// Failpoint: a forced try-lock failure abandons the sticky target,
@@ -162,18 +161,7 @@ func (h *EHandle) lockForInsert() *subqueue {
 		h.insLeft = 0 // contended: abandon the sticky target
 		h.tel.Inc(telemetry.MQStickReset)
 	}
-	for attempt := 0; attempt < insertTryLimit; attempt++ {
-		i := int(h.rng.Uintn(n))
-		s := qs[i]
-		if !chaos.ShouldFail(chaos.MQLock) && s.mu.TryLock() {
-			h.insQ, h.insLeft = i, q.stick-1
-			return s
-		}
-	}
-	i := int(h.rng.Uintn(n))
-	s := qs[i]
-	chaos.Perturb(chaos.MQLock)
-	s.mu.Lock()
+	i, s := lockAny(qs, h.rng)
 	h.insQ, h.insLeft = i, q.stick-1
 	return s
 }
@@ -248,7 +236,7 @@ func (h *EHandle) refillNLocked(want int) (pq.Item, bool) {
 			continue
 		}
 		h.tel.Inc(telemetry.MQDelRefill)
-		h.del = popBatchDescending(s.heap, h.del[:0], want)
+		h.del = popBatchDescending(&s.heap, h.del[:0], want)
 		s.updateMin()
 		s.mu.Unlock()
 		if m := len(h.del); m > 0 {
@@ -264,11 +252,11 @@ func (h *EHandle) refillNLocked(want int) (pq.Item, bool) {
 	return pq.Item{}, false
 }
 
-// popBatchDescending pops up to max items from sh in ascending order and
+// popBatchDescending pops up to max items from h in ascending order and
 // stores them into dst reversed (descending), so the deletion buffer is
 // served from the slice end in O(1).
-func popBatchDescending(sh SubHeap, dst []pq.Item, max int) []pq.Item {
-	dst = sh.PopN(dst, max)
+func popBatchDescending(h *seqheap.QuadHeap, dst []pq.Item, max int) []pq.Item {
+	dst = h.PopN(dst, max)
 	for i, j := 0, len(dst)-1; i < j; i, j = i+1, j-1 {
 		dst[i], dst[j] = dst[j], dst[i]
 	}
@@ -305,31 +293,12 @@ func (h *EHandle) sweepBuffered() (key, value uint64, ok bool) {
 	return 0, 0, false
 }
 
-// PeekMin implements pq.Peeker: the best of the sub-queues' cached minima
-// and every registered handle's buffered minima (approximate under
-// concurrency, like the seed's PeekMin).
+// PeekMin implements pq.Peeker: the smallest of the sub-queues' minimum
+// (peekSubqueues) and every registered handle's buffered minima
+// (approximate under concurrency, like the seed's PeekMin).
 func (h *EHandle) PeekMin() (key, value uint64, ok bool) {
-	q := h.q
-	qs := q.queues()
-	best := pq.Item{Key: emptyKey}
-	found := false
-	bestIdx := -1
-	for i := range qs {
-		if m := qs[i].min.Load(); m < best.Key {
-			best.Key, bestIdx = m, i
-		}
-	}
-	if bestIdx >= 0 {
-		s := qs[bestIdx]
-		s.mu.Lock()
-		if it, have := s.heap.Min(); have {
-			best, found = it, true
-		} else {
-			best.Key = emptyKey
-		}
-		s.mu.Unlock()
-	}
-	for _, other := range q.snapshotHandles() {
+	best, found := h.q.peekSubqueues()
+	for _, other := range h.q.snapshotHandles() {
 		other.mu.Lock()
 		if n := len(other.del); n > 0 && (!found || other.del[n-1].Key < best.Key) {
 			best, found = other.del[n-1], true

@@ -3,7 +3,25 @@ package multiq
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// TestSubqueueFillsOneCacheLine pins the sub-queue layout: each one is
+// exactly one 64-byte cache line and starts on a line boundary, the ones
+// EnsureHandles adds included, so no two sub-queues share a line.
+func TestSubqueueFillsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(subqueue{}); size != 64 {
+		t.Fatalf("unsafe.Sizeof(subqueue{}) = %d, want 64", size)
+	}
+	q := New(4, 2)
+	q.EnsureHandles(5)
+	for i, s := range q.queues() {
+		if addr := uintptr(unsafe.Pointer(s)); addr%64 != 0 {
+			t.Fatalf("sub-queue %d of %d starts at %#x, not on a 64-byte boundary",
+				i, q.NumQueues(), addr)
+		}
+	}
+}
 
 // TestEnsureHandlesGrowsSubqueues checks the Grower contract: the c·P
 // sizing rule tracks the requested handle count, existing sub-queues (and

@@ -18,8 +18,13 @@
 // down the whole heap, and at the benchmark's sizes (10^6 items over 8
 // sub-queues) that walk leaves the cache: the 4-ary heap takes half the
 // levels, each one cache line of 4 siblings, and raised throughput on
-// both in-process workloads of bench/ (DESIGN.md §10). NewWith keeps the
-// binary heap selectable for the sub-heap ablation.
+// both in-process workloads of bench/ (DESIGN.md §10).
+//
+// A sub-queue is one 64-byte object: its lock, its heap header and its
+// cached minimum fill exactly one cache line. Every push and pop writes
+// all three under the lock, so an operation dirties one line, and no two
+// sub-queues share one (a lock handoff on one sub-queue never invalidates
+// its neighbour's heap).
 //
 // NewEngineered builds the engineered variant of Williams and Sanders
 // (stickiness + per-handle operation buffers); see engineered.go.
@@ -48,28 +53,18 @@ const emptyKey = math.MaxUint64
 // when c·p is small and every sub-queue stays contended.
 const insertTryLimit = 16
 
-// SubHeap is the sequential priority queue backing one sub-queue; every
-// seqheap substrate implements it. PushN and PopN move a batch under the
-// one lock acquisition a batch call or a buffer flush or refill pays; PopN
-// appends up to max smallest items to dst in ascending key order.
-type SubHeap interface {
-	Push(pq.Item)
-	PushN([]pq.Item)
-	Pop() (pq.Item, bool)
-	PopN(dst []pq.Item, max int) []pq.Item
-	Min() (pq.Item, bool)
-	Len() int
-}
-
+// subqueue is one locked 4-ary heap with its cached minimum, padded to
+// exactly one 64-byte cache line. Allocated one by one, each sub-queue
+// falls in the allocator's 64-byte size class and so starts on a line.
 type subqueue struct {
 	mu   sync.Mutex
-	heap SubHeap
+	heap seqheap.QuadHeap
 	min  atomic.Uint64 // cached minimum key; emptyKey when empty
-	_    [5]uint64     // pad to a cache line to avoid false sharing of locks
+	_    [2]uint64     // pad to 64 bytes
 }
 
-func newSubqueue(mkHeap func() SubHeap) *subqueue {
-	s := &subqueue{heap: mkHeap()}
+func newSubqueue() *subqueue {
+	s := &subqueue{}
 	s.min.Store(emptyKey)
 	return s
 }
@@ -96,14 +91,13 @@ type Queue struct {
 	// an old snapshot stays valid in every later one (sticky targets
 	// survive growth); only readers that must visit EVERY sub-queue
 	// (sweepSubqueues, Len) need to re-check the pointer.
-	qs     atomic.Pointer[[]*subqueue]
-	c      int
-	p      atomic.Int32 // handle count the current layout is sized for
-	stick  int          // sticky reuses per sub-queue selection (<=1: off)
-	buf    int          // per-handle insertion/deletion buffer size (<=1: off)
-	name   string       // benchmark identifier, e.g. "multiq" or "multiq-s4-b8"
-	mkHeap func() SubHeap
-	seed   atomic.Uint64
+	qs    atomic.Pointer[[]*subqueue]
+	c     int
+	p     atomic.Int32 // handle count the current layout is sized for
+	stick int          // sticky reuses per sub-queue selection (<=1: off)
+	buf   int          // per-handle insertion/deletion buffer size (<=1: off)
+	name  string       // benchmark identifier, e.g. "multiq" or "multiq-s4-b8"
+	seed  atomic.Uint64
 
 	growMu sync.Mutex // serializes EnsureHandles
 
@@ -117,26 +111,17 @@ var _ pq.Grower = (*Queue)(nil)
 // New returns a MultiQueue with c·p sub-queues (c <= 0 selects DefaultC,
 // p < 1 is treated as 1), each backed by a 4-ary heap.
 func New(c, p int) *Queue {
-	return NewWith(c, p, nil)
-}
-
-// NewWith is New with an explicit sub-heap factory (nil selects the 4-ary
-// heap). Used by the sub-heap ablation.
-func NewWith(c, p int, mkHeap func() SubHeap) *Queue {
 	if c <= 0 {
 		c = DefaultC
 	}
 	if p < 1 {
 		p = 1
 	}
-	if mkHeap == nil {
-		mkHeap = func() SubHeap { return &seqheap.QuadHeap{} }
-	}
-	q := &Queue{c: c, stick: 1, buf: 1, name: "multiq", mkHeap: mkHeap}
+	q := &Queue{c: c, stick: 1, buf: 1, name: "multiq"}
 	q.p.Store(int32(p))
 	qs := make([]*subqueue, c*p)
 	for i := range qs {
-		qs[i] = newSubqueue(mkHeap)
+		qs[i] = newSubqueue()
 	}
 	q.qs.Store(&qs)
 	return q
@@ -164,7 +149,7 @@ func (q *Queue) EnsureHandles(p int) {
 	qs := make([]*subqueue, q.c*p)
 	copy(qs, old)
 	for i := len(old); i < len(qs); i++ {
-		qs[i] = newSubqueue(q.mkHeap)
+		qs[i] = newSubqueue()
 	}
 	q.qs.Store(&qs)
 	q.p.Store(int32(p))
@@ -208,32 +193,36 @@ type Handle struct {
 var _ pq.Handle = (*Handle)(nil)
 var _ pq.Peeker = (*Handle)(nil)
 
-// Insert implements pq.Handle: push to a uniformly random sub-queue,
-// acquired by try-lock so a busy queue redirects the insert elsewhere. The
-// try-lock attempts are bounded; past the bound the insert blocks on one
-// random sub-queue instead of spinning (a single contended handle must not
-// livelock when c·p is small).
+// Insert implements pq.Handle: push to a uniformly random sub-queue
+// (lockAny).
 func (h *Handle) Insert(key, value uint64) {
-	qs := h.q.queues()
-	n := uint64(len(qs))
-	it := pq.Item{Key: key, Value: value}
-	for attempt := 0; attempt < insertTryLimit; attempt++ {
-		s := qs[h.rng.Uintn(n)]
-		// Failpoint: a forced try-lock failure redirects the insert to
-		// another sub-queue, like a genuinely contended lock.
-		if !chaos.ShouldFail(chaos.MQLock) && s.mu.TryLock() {
-			s.heap.Push(it)
-			s.updateMin()
-			s.mu.Unlock()
-			return
-		}
-	}
-	s := qs[h.rng.Uintn(n)]
-	chaos.Perturb(chaos.MQLock)
-	s.mu.Lock()
-	s.heap.Push(it)
+	_, s := lockAny(h.q.queues(), h.rng)
+	s.heap.Push(pq.Item{Key: key, Value: value})
 	s.updateMin()
 	s.mu.Unlock()
+}
+
+// lockAny locks a uniformly random sub-queue of qs and returns its index
+// and the sub-queue; every insert path (a scalar insert, a batch, a buffer
+// flush) acquires its target this way. It takes sub-queues by try-lock,
+// so a busy one redirects the insert elsewhere, but the attempts are
+// bounded: past insertTryLimit it blocks on one random sub-queue instead
+// of spinning (a single contended handle must not livelock when c·p is
+// small).
+func lockAny(qs []*subqueue, r *rng.Xoroshiro) (int, *subqueue) {
+	n := uint64(len(qs))
+	for attempt := 0; attempt < insertTryLimit; attempt++ {
+		i := int(r.Uintn(n))
+		// Failpoint: a forced try-lock failure redirects the insert to
+		// another sub-queue, like a genuinely contended lock.
+		if !chaos.ShouldFail(chaos.MQLock) && qs[i].mu.TryLock() {
+			return i, qs[i]
+		}
+	}
+	i := int(r.Uintn(n))
+	chaos.Perturb(chaos.MQLock)
+	qs[i].mu.Lock()
+	return i, qs[i]
 }
 
 // sampleTwo draws two distinct uniform sub-queue indices over one snapshot
@@ -315,28 +304,33 @@ func (q *Queue) sweepSubqueues() (key, value uint64, ok bool) {
 	}
 }
 
-// PeekMin reports the smallest cached minimum across sub-queues
-// (approximate under concurrency).
+// PeekMin implements pq.Peeker: the minimum of the sub-queue with the
+// smallest cached minimum (approximate under concurrency).
 func (h *Handle) PeekMin() (key, value uint64, ok bool) {
-	qs := h.q.queues()
-	best := uint64(emptyKey)
-	bestIdx := -1
-	for i := range qs {
-		if m := qs[i].min.Load(); m < best {
-			best, bestIdx = m, i
+	it, ok := h.q.peekSubqueues()
+	return it.Key, it.Value, ok
+}
+
+// peekSubqueues returns the minimum item of the sub-queue whose cached
+// minimum is smallest, read under that sub-queue's lock; it reports false
+// when every cached minimum says empty or the chosen sub-queue was
+// drained meanwhile.
+func (q *Queue) peekSubqueues() (pq.Item, bool) {
+	qs := q.queues()
+	best, pick := uint64(emptyKey), -1
+	for i, s := range qs {
+		if m := s.min.Load(); m < best {
+			best, pick = m, i
 		}
 	}
-	if bestIdx < 0 {
-		return 0, 0, false
+	if pick < 0 {
+		return pq.Item{}, false
 	}
-	s := qs[bestIdx]
+	s := qs[pick]
 	s.mu.Lock()
-	it, found := s.heap.Min()
+	it, ok := s.heap.Min()
 	s.mu.Unlock()
-	if !found {
-		return 0, 0, false
-	}
-	return it.Key, it.Value, true
+	return it, ok
 }
 
 // Len sums the sizes of all sub-queues under their locks, plus — for the

@@ -1,11 +1,15 @@
 package multiq
 
 import (
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"cpq/internal/pq"
 	"cpq/internal/rng"
 )
 
@@ -230,4 +234,86 @@ func TestEmptinessDetectedUnderConcurrency(t *testing.T) {
 	if count.Load() != n {
 		t.Fatalf("deleted %d of %d", count.Load(), n)
 	}
+}
+
+// TestInsertBlocksWhenEveryLockIsHeld pins the bound on an insert's
+// try-locks (lockAny), the fix for an insert livelock: with every
+// sub-queue lock held elsewhere, a plain Insert, a plain InsertN and an
+// engineered InsertN that flushes at once (>= 2b items) each park on one
+// sub-queue's mutex instead of spinning, and complete once the locks are
+// released.
+func TestInsertBlocksWhenEveryLockIsHeld(t *testing.T) {
+	batch := func(n int) []pq.KV {
+		kvs := make([]pq.KV, n)
+		for i := range kvs {
+			kvs[i] = pq.KV{Key: uint64(n - i), Value: uint64(i)}
+		}
+		return kvs
+	}
+	for _, tc := range []struct {
+		name  string
+		q     *Queue
+		items int
+		call  func(pq.Handle)
+	}{
+		{"insert", New(1, 2), 1, func(h pq.Handle) { h.Insert(7, 7) }},
+		{"insertN", New(1, 2), 8, func(h pq.Handle) { h.(*Handle).InsertN(batch(8)) }},
+		{"engineered-insertN", NewEngineered(1, 2, 4, 8), 16,
+			func(h pq.Handle) { h.(*EHandle).InsertN(batch(16)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			qs := tc.q.queues()
+			for _, s := range qs {
+				s.mu.Lock()
+			}
+			h := tc.q.Handle()
+			done := make(chan struct{})
+			go func() {
+				tc.call(h)
+				close(done)
+			}()
+			parked := false
+			for deadline := time.Now().Add(10 * time.Second); !parked && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				parked = parkedInLockAny()
+			}
+			select {
+			case <-done:
+				t.Error("insert returned while every sub-queue lock was held")
+			default:
+			}
+			for _, s := range qs {
+				s.mu.Unlock()
+			}
+			<-done
+			if !parked {
+				t.Fatal("insert never parked on a sub-queue lock: it spun on try-locks")
+			}
+			if got := tc.q.Len(); got != tc.items {
+				t.Fatalf("Len = %d after the insert, want %d", got, tc.items)
+			}
+			d := tc.q.Handle()
+			for i := 0; i < tc.items; i++ {
+				if _, _, ok := d.DeleteMin(); !ok {
+					t.Fatalf("drain found %d items, want %d", i, tc.items)
+				}
+			}
+			if _, _, ok := d.DeleteMin(); ok {
+				t.Fatalf("drain found more than %d items", tc.items)
+			}
+		})
+	}
+}
+
+// parkedInLockAny reports whether a goroutine is parked on a sub-queue
+// mutex inside lockAny, read from a dump of every goroutine's stack.
+func parkedInLockAny() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, "multiq.lockAny(") {
+			return true
+		}
+	}
+	return false
 }

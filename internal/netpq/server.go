@@ -63,9 +63,6 @@ type Options struct {
 	// Static refuses Hellos for queue ids not preloaded (and not the
 	// default), instead of instantiating them on demand.
 	Static bool
-	// PoolHandles caps each served queue's handle pool (0 = the pool's
-	// default, max(initial, 4·GOMAXPROCS)).
-	PoolHandles int
 	// StallTimeout is the write deadline of each burst's responses: a
 	// client that leaves them undrained in its socket that long is
 	// evicted (0 = 5s).
@@ -182,7 +179,7 @@ func (s *Server) queueFor(id string, construct bool) (*servedQueue, error) {
 	sq := &servedQueue{
 		id:   id,
 		q:    q,
-		pool: pq.NewPool(q, pq.PoolOptions{MaxHandles: s.opts.PoolHandles}),
+		pool: pq.NewPool(q, pq.PoolOptions{}),
 	}
 	s.queues[id] = sq
 	return sq, nil

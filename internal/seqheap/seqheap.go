@@ -6,8 +6,7 @@
 // acceptable performance" (std::priority_queue + lock in the C++ code). The
 // binary Heap here is the std::priority_queue equivalent and backs
 // GlobalLock. QuadHeap, a 4-ary heap whose sibling groups each fill one
-// cache line, backs every MultiQueue sub-queue; PairingHeap completes the
-// MultiQueue's sub-heap ablation.
+// cache line, is the heap inside every MultiQueue sub-queue.
 package seqheap
 
 import (

@@ -186,27 +186,26 @@ func TestGlobalLockStrictOrderUnderConcurrency(t *testing.T) {
 	}
 }
 
-// batchHeap is the surface the MultiQueue uses of every sequential
-// substrate (multiq.SubHeap's batch half).
+// batchHeap is the batch surface both heaps share: a MultiQueue sub-queue
+// moves a buffer flush or refill through its QuadHeap's PushN and PopN,
+// and GlobalLock a batch call through its binary Heap's.
 type batchHeap interface {
 	PushN([]pq.Item)
 	PopN([]pq.Item, int) []pq.Item
 	Len() int
 }
 
-// substrates lists every sequential substrate of the package.
+// substrates lists both heaps of the package.
 var substrates = []struct {
 	name string
 	mk   func() batchHeap
 }{
 	{"binary", func() batchHeap { return &Heap{} }},
 	{"4ary", func() batchHeap { return &QuadHeap{} }},
-	{"pairing", func() batchHeap { return &PairingHeap{} }},
 }
 
-// TestPopN covers the batch push and pop the MultiQueue uses on every
-// sequential substrate: ascending order, partial batches, batches past Len
-// and reuse of dst.
+// TestPopN covers the batch push and pop on both heaps: ascending order,
+// partial batches, batches past Len and reuse of dst.
 func TestPopN(t *testing.T) {
 	for _, sub := range substrates {
 		t.Run(sub.name, func(t *testing.T) {
@@ -246,14 +245,14 @@ func TestPopN(t *testing.T) {
 // sinkItems keeps the benchmark's pops observable to the compiler.
 var sinkItems []pq.Item
 
-// BenchmarkSubHeap times every substrate at the shapes MultiQueue sub-heaps
-// take in bench/'s in-process workloads, which serve multiq-s4-b8 to two
+// BenchmarkSubHeap times both heaps at the shapes MultiQueue sub-heaps take
+// in bench/'s in-process workloads, which serve multiq-s4-b8 to two
 // handles: 8 sub-heaps (c = 4 per handle) sharing fig4a's 10^6-item
 // prefill of uniform 32-bit keys, and 8 sub-heaps of 250k ascending keys,
 // split-asc's drift-upward keys in heaps that overflow a 2 MiB L2. One op
 // is one batch of 8 pushed into a random heap and one batch of 8 popped
 // from another, as one InsertN and one DeleteMinN move. Heaps of 1k items,
-// which fit in L1, hide the cache behaviour the substrates differ in.
+// which fit in L1, hide the cache behaviour the two heaps differ in.
 func BenchmarkSubHeap(b *testing.B) {
 	const heaps, batch = 8, 8
 	for _, shape := range []struct {
@@ -284,13 +283,7 @@ func BenchmarkSubHeap(b *testing.B) {
 						h.PushN(in)
 					}
 				}
-				// One untimed pop per heap: a pairing heap's first pop after
-				// the prefill pairs every pushed root.
 				out := make([]pq.Item, 0, batch)
-				for _, h := range hs {
-					out = h.PopN(out[:0], batch)
-					h.PushN(out)
-				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					fill()

@@ -63,18 +63,6 @@ func TestOptionsApplied(t *testing.T) {
 	if q, _ := NewQueue("spray", Options{Threads: 16}); q.(*spray.Queue).P() != 16 {
 		t.Fatal("Threads not forwarded to the spray geometry")
 	}
-	// Per-structure tuning: explicit spray parameters change the geometry.
-	deflt, _ := NewQueue("spray", Options{Threads: 8})
-	tuned, _ := NewQueue("spray", Options{Threads: 8, SprayParams: &spray.Params{K: 4, M: 8, D: 1}})
-	dh, _ := deflt.(*spray.Queue).Geometry()
-	th, _ := tuned.(*spray.Queue).Geometry()
-	if dh == th {
-		t.Fatalf("SprayParams ignored: height %d == %d", dh, th)
-	}
-	// Tuning fields are ignored by unrelated queues.
-	if q, err := NewQueue("linden", Options{SprayParams: &spray.Params{K: 9}}); err != nil || q.Name() != "linden" {
-		t.Fatalf("linden with spray params: %v, %v", q, err)
-	}
 }
 
 // TestParseMultiQSpecTable pins the spec grammar, in particular that a

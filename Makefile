@@ -34,9 +34,9 @@ race:
 # handle lifecycles), pqbench smoke runs
 # of the batch-width grid (widths 1 and 8), the goroutine-churn cells (pool
 # and naive lifecycles) and the latency mode's CSV, a pqload smoke, one
-# pass of the sequential sub-heap benchmark (so it keeps building), and the
-# vet and tests of the separate benchmark module (bench/), which the root
-# module's ./... does not reach.
+# pass of the sequential sub-heap and sub-queue kernels (so they keep
+# building), and the vet and tests of the separate benchmark module
+# (bench/), which the root module's ./... does not reach.
 #
 # The smoke binaries are built once and each run is time-bounded: a
 # livelocked queue gets SIGQUIT with GOTRACEBACK=all, so its step fails
@@ -64,7 +64,7 @@ check:
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_CHURN) -churn-naive > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqbench -queues multiq -threads 1,2 -ops 2000 -prefill 1000 -csv > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqload -smoke > /dev/null
-	$(GO) test -run '^$$' -bench SubHeap -benchtime 1x ./internal/seqheap/
+	$(GO) test -run '^$$' -bench '^BenchmarkSub(Heap|queue)$$' -benchtime 1x ./internal/seqheap/ ./internal/multiq/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-injection stress pass: every registry queue under seeded schedule
@@ -93,11 +93,13 @@ bench-engineered:
 bench-klsm:
 	$(GO) test -bench='^BenchmarkKLSM' -benchmem -benchtime=1s -count=3 .
 
-# The MultiQueue sub-heap kernel: the binary and 4-ary heaps at the
-# sub-heap shapes of bench/'s fig4a and split-asc workloads;
-# benchstat-comparable output.
+# The MultiQueue sub-heap kernels at the sub-queue shapes of bench/'s
+# fig4a and split-asc workloads: the binary and 4-ary heaps alone, and the
+# two-tier sub-queue (hot and cold 4-ary heaps) past the uniform shape's
+# hold-model drift; benchstat-comparable output.
 bench-subheap:
 	$(GO) test -run '^$$' -bench='^BenchmarkSubHeap$$' -benchtime=200000x -count=3 ./internal/seqheap/
+	$(GO) test -run '^$$' -bench='^BenchmarkSubqueue$$' -benchtime=200000x -count=3 ./internal/multiq/
 
 # The skiplist-substrate acceptance benches: the fig-4a uniform-workload
 # cell at 8 threads for linden/spray/lotan plus the single-threaded linden

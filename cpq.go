@@ -118,7 +118,8 @@ func NewLindenBound(boundOffset int) *linden.Queue { return linden.New(boundOffs
 func NewSprayList(p int) *spray.Queue { return spray.New(p) }
 
 // NewMultiQueue returns a MultiQueue with c·p sequential sub-queues
-// (c <= 0 selects the paper's c = 4), each a 4-ary heap.
+// (c <= 0 selects the paper's c = 4), each two 4-ary heaps: a hot one for
+// keys below the cold one's latest pop, and the cold one for the rest.
 func NewMultiQueue(c, p int) *multiq.Queue { return multiq.New(c, p) }
 
 // NewMultiQueueEngineered returns the engineered MultiQueue of Williams and

@@ -29,8 +29,7 @@ func (h *Handle) InsertN(kvs []pq.KV) {
 		return
 	}
 	_, s := lockAny(h.q.queues(), h.rng)
-	s.heap.PushN(kvs)
-	s.updateMin()
+	s.push(kvs)
 	s.mu.Unlock()
 	h.tel.Add(telemetry.BatchInsertItems, uint64(n))
 	h.tel.ObserveBatchWidth(n)
@@ -59,12 +58,9 @@ func (h *Handle) DeleteMinN(dst []pq.KV, n int) int {
 			if chaos.ShouldFail(chaos.MQLock) || !s.mu.TryLock() {
 				continue
 			}
-			// dst[got:got] has room for n-got items, so PopN fills dst
+			// dst[got:got] has room for n-got items, so popN fills dst
 			// in place.
-			m := len(s.heap.PopN(dst[got:got], n-got))
-			if m > 0 {
-				s.updateMin()
-			}
+			m := len(s.popN(dst[got:got], n-got))
 			s.mu.Unlock()
 			if m > 0 {
 				got += m
@@ -113,10 +109,9 @@ func (h *EHandle) InsertN(kvs []pq.KV) {
 		// steals from other handles pile up against the batch.
 		chaos.Perturb(chaos.MQFlush)
 		s := h.lockForInsert()
-		s.heap.PushN(h.ins)
+		s.push(h.ins)
 		h.ins = h.ins[:0]
-		s.heap.PushN(kvs)
-		s.updateMin()
+		s.push(kvs)
 		s.mu.Unlock()
 	} else {
 		if len(h.ins) >= h.q.buf {

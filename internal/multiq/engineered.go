@@ -37,7 +37,6 @@ import (
 	"cpq/internal/chaos"
 	"cpq/internal/pq"
 	"cpq/internal/rng"
-	"cpq/internal/seqheap"
 	"cpq/internal/telemetry"
 )
 
@@ -138,8 +137,7 @@ func (h *EHandle) flushInsLocked() {
 	// steals from other handles pile up against the buffered items.
 	chaos.Perturb(chaos.MQFlush)
 	s := h.lockForInsert()
-	s.heap.PushN(h.ins)
-	s.updateMin()
+	s.push(h.ins)
 	s.mu.Unlock()
 	h.ins = h.ins[:0]
 }
@@ -236,8 +234,7 @@ func (h *EHandle) refillNLocked(want int) (pq.Item, bool) {
 			continue
 		}
 		h.tel.Inc(telemetry.MQDelRefill)
-		h.del = popBatchDescending(&s.heap, h.del[:0], want)
-		s.updateMin()
+		h.del = popBatchDescending(s, h.del[:0], want)
 		s.mu.Unlock()
 		if m := len(h.del); m > 0 {
 			it := h.del[m-1]
@@ -252,11 +249,11 @@ func (h *EHandle) refillNLocked(want int) (pq.Item, bool) {
 	return pq.Item{}, false
 }
 
-// popBatchDescending pops up to max items from h in ascending order and
+// popBatchDescending pops up to max items from s in ascending order and
 // stores them into dst reversed (descending), so the deletion buffer is
-// served from the slice end in O(1).
-func popBatchDescending(h *seqheap.QuadHeap, dst []pq.Item, max int) []pq.Item {
-	dst = h.PopN(dst, max)
+// served from the slice end in O(1). Requires s.mu held.
+func popBatchDescending(s *subqueue, dst []pq.Item, max int) []pq.Item {
+	dst = s.popN(dst, max)
 	for i, j := 0, len(dst)-1; i < j; i, j = i+1, j-1 {
 		dst[i], dst[j] = dst[j], dst[i]
 	}
@@ -325,8 +322,7 @@ func (h *EHandle) Flush() {
 	h.flushInsLocked()
 	if len(h.del) > 0 {
 		s := h.lockForInsert()
-		s.heap.PushN(h.del)
-		s.updateMin()
+		s.push(h.del)
 		s.mu.Unlock()
 		h.del = h.del[:0]
 	}

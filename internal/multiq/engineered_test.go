@@ -106,7 +106,7 @@ func TestEngineeredFlushVisibility(t *testing.T) {
 		total := 0
 		for _, s := range q.queues() {
 			s.mu.Lock()
-			total += s.heap.Len()
+			total += s.len()
 			s.mu.Unlock()
 		}
 		return total

@@ -13,18 +13,32 @@
 // Each sub-queue caches its current minimum key in an atomic word so
 // delete_min's comparison never takes locks it will not use.
 //
-// The sub-queues are 4-ary heaps (seqheap.QuadHeap), not the paper's
-// std::priority_queue, a binary heap. Popping a sub-queue sifts an item
-// down the whole heap, and at the benchmark's sizes (10^6 items over 8
+// A sub-queue is two 4-ary heaps (seqheap.QuadHeap), not the paper's
+// std::priority_queue, a binary heap. Popping a heap sifts an item down
+// the whole heap, and at the benchmark's sizes (10^6 items over 8
 // sub-queues) that walk leaves the cache: the 4-ary heap takes half the
-// levels, each one cache line of 4 siblings, and raised throughput on
-// both in-process workloads of bench/ (DESIGN.md §10).
+// levels, each one cache line of 4 siblings (DESIGN.md §10).
 //
-// A sub-queue is one 64-byte object: its lock, its heap header and its
-// cached minimum fill exactly one cache line. Every push and pop writes
-// all three under the lock, so an operation dirties one line, and no two
-// sub-queues share one (a lock handoff on one sub-queue never invalidates
-// its neighbour's heap).
+// The two heaps are tiers. The cold heap takes every key at or above the
+// floor, the key of its own latest pop (QuadHeap.LastPop); the hot heap
+// takes every key below it. Every hot key is then below the floor and
+// every cold key at or above it, so a pop drains hot before it touches
+// cold and the sub-queue stays an exact priority queue: a cold pop happens
+// only when hot is empty and returns cold's minimum, so the floor never
+// falls. Under uniform keys and delete-min the keys a sub-queue keeps
+// drift up to the old, large ones, and most new keys land below them and
+// are popped within a few operations; the hot heap holds those in a few
+// cache lines, where one heap would answer each such pop by sifting an
+// old leaf down all of its levels. The floor is cold's last pop, not its
+// minimum, so that a prefill, which pops nothing, lands in cold whole
+// (floor 0). Keys that only rise (bench/'s split-asc) never go below a
+// floor and bypass hot.
+//
+// A sub-queue is one 64-byte object: its lock, its cached minimum and its
+// two heap headers fill exactly one cache line. Every push and pop writes
+// it under the lock, so an operation dirties that line and the heaps'
+// own, and no two sub-queues share one (a lock handoff on one sub-queue
+// never invalidates its neighbour's heaps).
 //
 // NewEngineered builds the engineered variant of Williams and Sanders
 // (stickiness + per-handle operation buffers); see engineered.go.
@@ -53,14 +67,15 @@ const emptyKey = math.MaxUint64
 // when c·p is small and every sub-queue stays contended.
 const insertTryLimit = 16
 
-// subqueue is one locked 4-ary heap with its cached minimum, padded to
-// exactly one 64-byte cache line. Allocated one by one, each sub-queue
-// falls in the allocator's 64-byte size class and so starts on a line.
+// subqueue is one locked pair of 4-ary heaps, hot and cold (see the
+// package comment), with its cached minimum: exactly one 64-byte cache
+// line. Allocated one by one, each sub-queue falls in the allocator's
+// 64-byte size class and so starts on a line. Every method requires mu
+// held, and the ones that change the heaps keep min current.
 type subqueue struct {
-	mu   sync.Mutex
-	heap seqheap.QuadHeap
-	min  atomic.Uint64 // cached minimum key; emptyKey when empty
-	_    [2]uint64     // pad to 64 bytes
+	mu        sync.Mutex
+	min       atomic.Uint64 // cached minimum key; emptyKey when empty
+	hot, cold seqheap.QuadHeap
 }
 
 func newSubqueue() *subqueue {
@@ -69,8 +84,66 @@ func newSubqueue() *subqueue {
 	return s
 }
 
+// push adds its, each to hot if its key is below the floor (cold's last
+// pop) and to cold otherwise. While hot is empty the minimum is cold's,
+// at or above the floor, so a key at or above the minimum goes cold
+// without reading the floor, which sits on the cold root's cache line: a
+// prefill and rising keys (nearly) never touch that line.
+func (s *subqueue) push(its []pq.Item) {
+	m := s.min.Load()
+	for _, it := range its {
+		if s.hot.Len() == 0 && it.Key >= m || it.Key >= s.cold.LastPop() {
+			s.cold.Push(it)
+		} else {
+			s.hot.Push(it)
+		}
+		m = min(m, it.Key)
+	}
+	s.min.Store(m)
+}
+
+// pop removes and returns the minimum item: hot's while hot holds one.
+func (s *subqueue) pop() (pq.Item, bool) {
+	it, ok := s.hot.Pop()
+	if !ok {
+		if it, ok = s.cold.Pop(); !ok {
+			return it, false
+		}
+	}
+	s.updateMin()
+	return it, true
+}
+
+// popN removes up to max smallest items, appending them to dst in
+// ascending key order (hot's, then cold's), and returns the extended
+// slice.
+func (s *subqueue) popN(dst []pq.Item, max int) []pq.Item {
+	for ; max > 0; max-- {
+		it, ok := s.hot.Pop()
+		if !ok {
+			if it, ok = s.cold.Pop(); !ok {
+				break
+			}
+		}
+		dst = append(dst, it)
+	}
+	s.updateMin()
+	return dst
+}
+
+// peek returns the minimum item without removing it.
+func (s *subqueue) peek() (pq.Item, bool) {
+	if it, ok := s.hot.Min(); ok {
+		return it, true
+	}
+	return s.cold.Min()
+}
+
+// len reports the number of items in both heaps.
+func (s *subqueue) len() int { return s.hot.Len() + s.cold.Len() }
+
 func (s *subqueue) updateMin() {
-	if it, ok := s.heap.Min(); ok {
+	if it, ok := s.peek(); ok {
 		s.min.Store(it.Key)
 	} else {
 		s.min.Store(emptyKey)
@@ -109,7 +182,7 @@ var _ pq.Queue = (*Queue)(nil)
 var _ pq.Grower = (*Queue)(nil)
 
 // New returns a MultiQueue with c·p sub-queues (c <= 0 selects DefaultC,
-// p < 1 is treated as 1), each backed by a 4-ary heap.
+// p < 1 is treated as 1), each backed by two 4-ary heaps.
 func New(c, p int) *Queue {
 	if c <= 0 {
 		c = DefaultC
@@ -197,8 +270,7 @@ var _ pq.Peeker = (*Handle)(nil)
 // (lockAny).
 func (h *Handle) Insert(key, value uint64) {
 	_, s := lockAny(h.q.queues(), h.rng)
-	s.heap.Push(pq.Item{Key: key, Value: value})
-	s.updateMin()
+	s.push([]pq.Item{{Key: key, Value: value}})
 	s.mu.Unlock()
 }
 
@@ -259,10 +331,7 @@ func (h *Handle) DeleteMin() (key, value uint64, ok bool) {
 		if chaos.ShouldFail(chaos.MQLock) || !s.mu.TryLock() {
 			continue
 		}
-		it, popped := s.heap.Pop()
-		if popped {
-			s.updateMin()
-		}
+		it, popped := s.pop()
 		s.mu.Unlock()
 		if popped {
 			return it.Key, it.Value, true
@@ -289,10 +358,7 @@ func (q *Queue) sweepSubqueues() (key, value uint64, ok bool) {
 		ptr := q.qs.Load()
 		for _, s := range *ptr {
 			s.mu.Lock()
-			it, popped := s.heap.Pop()
-			if popped {
-				s.updateMin()
-			}
+			it, popped := s.pop()
 			s.mu.Unlock()
 			if popped {
 				return it.Key, it.Value, true
@@ -328,7 +394,7 @@ func (q *Queue) peekSubqueues() (pq.Item, bool) {
 	}
 	s := qs[pick]
 	s.mu.Lock()
-	it, ok := s.heap.Min()
+	it, ok := s.peek()
 	s.mu.Unlock()
 	return it, ok
 }
@@ -345,7 +411,7 @@ func (q *Queue) Len() int {
 		total = 0
 		for _, s := range *ptr {
 			s.mu.Lock()
-			total += s.heap.Len()
+			total += s.len()
 			s.mu.Unlock()
 		}
 		if q.qs.Load() == ptr {

@@ -2,14 +2,24 @@ package seqheap
 
 import "cpq/internal/pq"
 
-// quadRoot is the QuadHeap's root slot. Slots 0-2 stay unused so that the
-// children of slot i, 4(i-2) ... 4(i-2)+3, start at a multiple of 4 items:
-// with 16-byte items every sibling group is one 64-byte cache line of the
-// backing array, once that array is 64-byte aligned. Go gives every
+// quadRoot is the QuadHeap's root slot. Slots 0-2 hold no items so that
+// the children of slot i, 4(i-2) ... 4(i-2)+3, start at a multiple of 4
+// items: with 16-byte items every sibling group is one 64-byte cache line
+// of the backing array, once that array is 64-byte aligned. Go gives every
 // pointer-free allocation of 512 bytes or more that alignment (its size
 // classes from there on are multiples of 64, and larger objects start on
 // a page), so every heap past a few dozen items is aligned without padding.
+//
+// Two of those slots carry Pop's state instead of the header: they share
+// the root's cache line, which Pop writes anyway, and so the header stays
+// one slice (a MultiQueue sub-queue fits two heaps in its cache line).
 const quadRoot = 3
+
+// Pop's state in the padding slots' keys.
+const (
+	aheadSlot   = 0 // XOR of the look-ahead reads; its value means nothing
+	lastPopSlot = 1 // key of the latest pop (LastPop)
+)
 
 // QuadHeap is a sequential 4-ary min-heap over pq.Item ordered by Key, laid
 // out so that each group of 4 siblings fills one cache line (see quadRoot).
@@ -17,18 +27,27 @@ const quadRoot = 3
 // compares per level, which is why it backs every MultiQueue sub-queue:
 // there the sift-down of large heaps bounds the deletion cost.
 //
+// The heap remembers the key of its latest pop (LastPop): a MultiQueue
+// sub-queue routes each push by it, keeping keys below that floor in a
+// second heap (see package multiq).
+//
 // The zero value is an empty heap ready for use. Not safe for concurrent
 // use.
 type QuadHeap struct {
 	a []pq.Item // a[quadRoot] is the root; a[:quadRoot] is padding
-	// ahead is an XOR of the keys Pop reads one level ahead of its
-	// sift-down. Storing it keeps the compiler from dropping those reads;
-	// its value means nothing.
-	ahead uint64
 }
 
 // Len reports the number of items in the heap.
 func (h *QuadHeap) Len() int { return max(len(h.a)-quadRoot, 0) }
+
+// LastPop returns the key of the item the latest Pop removed, or 0 before
+// the first pop. Pushes do not change it, and a drained heap keeps it.
+func (h *QuadHeap) LastPop() uint64 {
+	if len(h.a) < quadRoot {
+		return 0
+	}
+	return h.a[lastPopSlot].Key
+}
 
 // Min returns the minimum item without removing it.
 func (h *QuadHeap) Min() (pq.Item, bool) {
@@ -57,13 +76,6 @@ func (h *QuadHeap) Push(it pq.Item) {
 	a[i] = it
 }
 
-// PushN inserts every element of its.
-func (h *QuadHeap) PushN(its []pq.Item) {
-	for _, it := range its {
-		h.Push(it)
-	}
-}
-
 // Pop removes and returns the minimum item: the last item sifts down from
 // the root, taking at each level the smallest of a full sibling group
 // with an unrolled min-of-4.
@@ -76,7 +88,8 @@ func (h *QuadHeap) PushN(its []pq.Item) {
 // no prefetch instruction). On bench/'s split-asc workload those reads
 // raised throughput by about a sixth over the same heap without them; on
 // fig4a, whose smaller heaps miss less, they cost some delete latency
-// (EXPERIMENTS.md, "4-ary sub-heaps").
+// (EXPERIMENTS.md, "4-ary sub-heaps"). Their XOR is stored in a padding
+// slot, which keeps the compiler from dropping them.
 func (h *QuadHeap) Pop() (pq.Item, bool) {
 	n := len(h.a) - 1
 	if n < quadRoot {
@@ -86,6 +99,7 @@ func (h *QuadHeap) Pop() (pq.Item, bool) {
 	min, it := a[quadRoot], a[n]
 	a = a[:n]
 	h.a = a
+	a[lastPopSlot].Key = min.Key
 	if n == quadRoot {
 		return min, true
 	}
@@ -130,28 +144,8 @@ func (h *QuadHeap) Pop() (pq.Item, bool) {
 		i = c + least
 	}
 	a[i] = it
-	h.ahead = ahead
+	a[aheadSlot].Key = ahead
 	return min, true
-}
-
-// PopN removes up to max smallest items, appending them to dst in ascending
-// key order, and returns the extended slice (see Heap.PopN).
-func (h *QuadHeap) PopN(dst []pq.Item, max int) []pq.Item {
-	for i := 0; i < max; i++ {
-		it, ok := h.Pop()
-		if !ok {
-			break
-		}
-		dst = append(dst, it)
-	}
-	return dst
-}
-
-// Clear empties the heap, retaining capacity.
-func (h *QuadHeap) Clear() {
-	if len(h.a) > quadRoot {
-		h.a = h.a[:quadRoot]
-	}
 }
 
 // invariantOK reports whether every item's key is >= its parent's (tests).

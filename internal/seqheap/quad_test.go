@@ -112,44 +112,67 @@ func TestQuadHeapMatchesBinaryHeap(t *testing.T) {
 	}
 }
 
-func TestQuadHeapClear(t *testing.T) {
+// TestQuadHeapLastPop pins the floor a MultiQueue sub-queue routes by: 0
+// on the zero value and before the first pop, then the key of the latest
+// pop, unchanged by pushes, through every growth of the backing array
+// (which must carry the padding slots along) and after a drain to empty.
+func TestQuadHeapLastPop(t *testing.T) {
 	var h QuadHeap
-	h.Clear() // on the zero value
-	for i := uint64(0); i < 100; i++ {
-		h.Push(pq.Item{Key: 100 - i})
+	if got := h.LastPop(); got != 0 {
+		t.Fatalf("zero value: LastPop = %d, want 0", got)
 	}
-	base, capacity := &h.a[0], cap(h.a)
-	h.Clear()
-	if h.Len() != 0 {
-		t.Fatal("Clear left items")
+	if _, ok := h.Pop(); ok || h.LastPop() != 0 {
+		t.Fatalf("Pop on the zero value: ok %v, LastPop %d", ok, h.LastPop())
 	}
-	if _, ok := h.Min(); ok {
-		t.Fatal("Min on cleared heap returned ok")
+	r := rng.New(5)
+	for i := 0; i < 1000; i++ {
+		h.Push(pq.Item{Key: 1000 + r.Uint64()%1000})
 	}
-	for i := uint64(0); i < 100; i++ {
-		h.Push(pq.Item{Key: i % 7})
+	if got := h.LastPop(); got != 0 {
+		t.Fatalf("after pushes only: LastPop = %d, want 0", got)
 	}
-	if &h.a[0] != base || cap(h.a) != capacity {
-		t.Fatal("Clear dropped the backing array")
-	}
-	got := h.PopN(nil, 100)
-	for i := 1; i < len(got); i++ {
-		if got[i].Key < got[i-1].Key {
-			t.Fatalf("heap reused after Clear pops %d before %d", got[i-1].Key, got[i].Key)
+	var want uint64
+	for i := 0; i < 20_000; i++ {
+		if r.Uintn(3) > 0 || h.Len() == 0 {
+			oldCap := cap(h.a)
+			h.Push(pq.Item{Key: r.Uint64() % 5000})
+			if got := h.LastPop(); got != want {
+				t.Fatalf("step %d: push (capacity %d -> %d) moved LastPop %d -> %d", i, oldCap, cap(h.a), want, got)
+			}
+			continue
+		}
+		it, _ := h.Pop()
+		want = it.Key
+		if got := h.LastPop(); got != want {
+			t.Fatalf("step %d: LastPop = %d after popping %d", i, got, want)
 		}
 	}
-	if len(got) != 100 || h.Len() != 0 {
-		t.Fatalf("heap reused after Clear popped %d items, %d remain", len(got), h.Len())
+	for h.Len() > 0 {
+		it, _ := h.Pop()
+		want = it.Key
+	}
+	if got := h.LastPop(); got != want {
+		t.Fatalf("drained: LastPop = %d, want the last key popped, %d", got, want)
+	}
+	if _, ok := h.Pop(); ok || h.LastPop() != want {
+		t.Fatalf("Pop on the drained heap: ok %v, LastPop %d, want %d", ok, h.LastPop(), want)
+	}
+	h.Push(pq.Item{Key: want + 1})
+	if got := h.LastPop(); got != want {
+		t.Fatalf("push after the drain: LastPop = %d, want %d", got, want)
+	}
+	if it, _ := h.Pop(); h.LastPop() != want+1 {
+		t.Fatalf("popping the only item, %d: LastPop = %d", it.Key, h.LastPop())
 	}
 }
 
 // TestQuadHeapSiblingGroupsAligned checks the layout the heap relies on:
 // once a heap holds 64 items, its first sibling group, and so every
 // group, starts on a 64-byte boundary, through every growth of the
-// backing array and after Clear.
+// backing array, in two fresh heaps.
 func TestQuadHeapSiblingGroupsAligned(t *testing.T) {
-	var h QuadHeap
 	for round := 0; round < 2; round++ {
+		var h QuadHeap
 		for i := 0; i < 100_000; i++ {
 			h.Push(pq.Item{Key: uint64(i)})
 			if h.Len() >= 64 {
@@ -158,6 +181,5 @@ func TestQuadHeapSiblingGroupsAligned(t *testing.T) {
 				}
 			}
 		}
-		h.Clear()
 	}
 }

@@ -6,7 +6,14 @@
 // acceptable performance" (std::priority_queue + lock in the C++ code). The
 // binary Heap here is the std::priority_queue equivalent and backs
 // GlobalLock. QuadHeap, a 4-ary heap whose sibling groups each fill one
-// cache line, is the heap inside every MultiQueue sub-queue.
+// cache line, is the heap inside every MultiQueue sub-queue, twice: a
+// sub-queue keeps keys below its cold heap's latest pop (the floor,
+// QuadHeap.LastPop) in a second, hot heap, so every hot key is below the
+// floor and every cold key at or above it, and a pop drains hot first.
+// The floor is the last pop rather than the cold minimum so that a
+// prefill, which pops nothing, stays in cold. QuadHeap keeps the floor in
+// an unused padding slot of its backing array, so its header is one slice
+// and the sub-queue still fits one cache line (see package multiq).
 package seqheap
 
 import (
@@ -73,8 +80,8 @@ func (h *Heap) PushN(its []pq.Item) {
 }
 
 // PopN removes up to max smallest items, appending them to dst in ascending
-// key order, and returns the extended slice. The engineered MultiQueue uses
-// it to amortize one sub-queue lock acquisition over a deletion batch.
+// key order, and returns the extended slice. GlobalLock's DeleteMinN uses
+// it to amortize its one lock acquisition over a deletion batch.
 func (h *Heap) PopN(dst []pq.Item, max int) []pq.Item {
 	for i := 0; i < max; i++ {
 		it, ok := h.Pop()

@@ -31,16 +31,17 @@ race:
 # queue with a claimed bound may have a deletion whose definite rank
 # exceeds it, DESIGN.md §6) under the race detector, plus a short-budget
 # chaos pass over the whole registry (scalar, batch widths, and pooled
-# handle lifecycles), pqbench smoke runs
+# handle lifecycles) from a race-built pqbench, pqbench smoke runs
 # of the batch-width grid (widths 1 and 8), the goroutine-churn cells (pool
 # and naive lifecycles) and the latency mode's CSV, a pqload smoke, one
 # pass of the sequential sub-heap and sub-queue kernels (so they keep
 # building), and the vet and tests of the separate benchmark module
 # (bench/), which the root module's ./... does not reach.
 #
-# The smoke binaries are built once and each run is time-bounded: a
-# livelocked queue gets SIGQUIT with GOTRACEBACK=all, so its step fails
-# with a goroutine dump instead of blocking the gate.
+# The smoke binaries (and the race-built pqbench the chaos passes run) are
+# built once and each run is time-bounded: a livelocked queue gets SIGQUIT
+# with GOTRACEBACK=all, so its step fails with a goroutine dump instead of
+# blocking the gate.
 SMOKE_BIN   = .smoke_build
 SMOKE       = GOTRACEBACK=all timeout -s QUIT -k 10s 60s
 SMOKE_CELL  = -threads 8 -duration 30ms -reps 1 -prefill 2000
@@ -54,10 +55,11 @@ check:
 	$(GO) test -race ./internal/pq/ ./internal/core/ ./internal/multiq/ ./internal/skiplist/ ./internal/linden/ ./internal/spray/ ./internal/lotan/ ./internal/harness/ ./internal/quality/ ./internal/chaos/ ./internal/netpq/
 	$(GO) test -race -run 'TestPoolChurn|TestQualityMatrix' .
 	$(MAKE) durable
-	$(GO) run -race ./cmd/pqverify -chaos -ops 1500
-	$(GO) run -race ./cmd/pqverify -chaos -ops 1500 -batch 8
-	$(GO) run -race ./cmd/pqverify -chaos -ops 1500 -pool
 	$(GO) build -o $(SMOKE_BIN)/ ./cmd/pqbench ./cmd/pqload
+	$(GO) build -race -o $(SMOKE_BIN)/race/ ./cmd/pqbench
+	$(SMOKE) $(SMOKE_BIN)/race/pqbench chaos -ops 1500
+	$(SMOKE) $(SMOKE_BIN)/race/pqbench chaos -ops 1500 -batch 8
+	$(SMOKE) $(SMOKE_BIN)/race/pqbench chaos -ops 1500 -pool
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_GRID) > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_GRID) -batch 8 > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_CHURN) > /dev/null
@@ -80,7 +82,7 @@ CHAOS_OPS     ?= 10000
 CHAOS_THREADS ?= 4
 CHAOS_BATCH   ?= 8
 chaos:
-	$(GO) run -race ./cmd/pqverify -chaos -ops $(CHAOS_OPS) -threads $(CHAOS_THREADS) -batch $(CHAOS_BATCH)
+	$(GO) run -race ./cmd/pqbench chaos -ops $(CHAOS_OPS) -threads $(CHAOS_THREADS) -batch $(CHAOS_BATCH)
 
 # The engineered-MultiQueue acceptance bench (seed multiq vs. multiq-s4-b8
 # vs. klsm4096 at 8 threads); benchstat-comparable output.
@@ -143,21 +145,22 @@ bench-churn:
 	$(GO) run ./cmd/pqbench -churn 100000 -churn-abandon 64 -threads 8 \
 		-queues klsm4096,multiq -prefill 100000 -reps 3 -churn-naive
 
-# Every paper figure/table as a testing.B bench, fixed op count for speed.
+# Every testing.B bench (ablations, acceptance cells, kernels, allocation
+# and churn benches), fixed op count for speed.
 bench-quick:
 	$(GO) test -bench=. -benchmem -benchtime=50000x ./...
 
-# Paper-style benches with time-based sampling (slower, steadier numbers).
+# The same benches with time-based sampling (slower, steadier numbers).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Regenerate the full experiment grid into report.md.
 repro:
-	$(GO) run ./cmd/pqrepro -out report.md
+	$(GO) run ./cmd/pqbench -figure all -table all -out report.md
 
 # Check claimed relaxation bounds against observed rank errors.
 verify:
-	$(GO) run ./cmd/pqverify
+	$(GO) run ./cmd/pqbench verify
 
 # Profile one queue on the fig-4a cell: CPU + heap profiles and queue
 # telemetry under ./profiles/. Inspect with `go tool pprof`.

@@ -1,21 +1,15 @@
-// Benchmarks regenerating every figure and table of the paper's evaluation.
+// Benchmarks of the paper's design choices and of this repository's
+// acceptance cells:
 //
-// Naming maps directly onto the paper:
+//   - BenchmarkAblation* — design-choice sweeps called out in DESIGN.md §10.
+//   - BenchmarkMultiQueueEngineered, BenchmarkEngineeredGrid, BenchmarkKLSM*,
+//     BenchmarkSkiplistPQ, BenchmarkLindenInsertDeleteMin — acceptance cells
+//     and allocation microbenches.
+//   - BenchmarkHandleChurn — the handle pool under goroutine churn.
 //
-//   - BenchmarkFig4a ... BenchmarkFig4h — the eight throughput panels of
-//     Figure 4 (Figures 1-3 of the brief announcement are panels 4a, 4e,
-//     4g); Figures 5-7 are the same panels on other machines and therefore
-//     the same code. Reported metric: MOps/s (also derivable from ns/op).
-//   - BenchmarkFig8a ... BenchmarkFig8c — the alternating-workload panels
-//     of Figures 8/9.
-//   - BenchmarkTable2a ... BenchmarkTable2h, BenchmarkTable5a-c — the rank
-//     error tables (Table 1 = Table 2a); reported metrics: mean_rank and
-//     stddev_rank.
-//   - BenchmarkAblation* — design-choice sweeps called out in DESIGN.md.
-//
+// The paper's figure and table cells themselves run through cmd/pqbench.
 // Sub-benchmarks are <queue>/t<threads>. Benchmark prefill is reduced to
-// 100k items (vs the CLI's 10^6) to keep `go test -bench=.` tractable; use
-// cmd/pqbench for paper-scale parameters.
+// 100k items (vs the CLI's 10^6) to keep `go test -bench=.` tractable.
 package cpq_test
 
 import (
@@ -28,7 +22,6 @@ import (
 	"cpq/internal/harness"
 	"cpq/internal/keys"
 	"cpq/internal/pq"
-	"cpq/internal/quality"
 	"cpq/internal/rng"
 	"cpq/internal/workload"
 )
@@ -83,81 +76,6 @@ func benchThroughputCell(b *testing.B, newQueue func(int) pq.Queue, p int, wl wo
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/1e6/b.Elapsed().Seconds(), "MOps/s")
 }
-
-func benchFigure(b *testing.B, wl workload.Kind, kd keys.Distribution) {
-	for _, name := range cpq.PaperNames() {
-		for _, p := range benchThreads {
-			b.Run(fmt.Sprintf("%s/t%d", name, p), func(b *testing.B) {
-				benchThroughputCell(b, factory(name), p, wl, kd)
-			})
-		}
-	}
-}
-
-// Figure 4 (mars; = Figures 5, 6, 7 on saturn/ceres/pluto).
-// Figure 1 of the brief announcement is Figure 4a.
-func BenchmarkFig4a(b *testing.B) { benchFigure(b, workload.Uniform, keys.Uniform32) }
-func BenchmarkFig4b(b *testing.B) { benchFigure(b, workload.Uniform, keys.Ascending) }
-func BenchmarkFig4c(b *testing.B) { benchFigure(b, workload.Uniform, keys.Descending) }
-func BenchmarkFig4d(b *testing.B) { benchFigure(b, workload.Split, keys.Uniform32) }
-
-// Figure 2 of the brief announcement is Figure 4e.
-func BenchmarkFig4e(b *testing.B) { benchFigure(b, workload.Split, keys.Ascending) }
-func BenchmarkFig4f(b *testing.B) { benchFigure(b, workload.Split, keys.Descending) }
-
-// Figure 3 of the brief announcement is Figure 4g.
-func BenchmarkFig4g(b *testing.B) { benchFigure(b, workload.Uniform, keys.Uniform8) }
-func BenchmarkFig4h(b *testing.B) { benchFigure(b, workload.Uniform, keys.Uniform16) }
-
-// Figures 8/9: alternating workload.
-func BenchmarkFig8a(b *testing.B) { benchFigure(b, workload.Alternating, keys.Uniform32) }
-func BenchmarkFig8b(b *testing.B) { benchFigure(b, workload.Alternating, keys.Ascending) }
-func BenchmarkFig8c(b *testing.B) { benchFigure(b, workload.Alternating, keys.Descending) }
-
-// benchQualityCell runs the rank-error benchmark and reports rank metrics.
-// b.N scales the per-thread operation count.
-func benchQualityCell(b *testing.B, name string, p int, wl workload.Kind, kd keys.Distribution) {
-	ops := b.N
-	if ops < 2000 {
-		ops = 2000 // enough deletions for a meaningful rank distribution
-	}
-	res := quality.Run(quality.Config{
-		NewQueue:     factory(name),
-		Threads:      p,
-		OpsPerThread: ops / p,
-		Workload:     wl,
-		KeyDist:      kd,
-		Prefill:      20_000,
-		Seed:         1,
-	})
-	b.ReportMetric(res.MeanRank, "mean_rank")
-	b.ReportMetric(res.StddevRank, "stddev_rank")
-}
-
-func benchTable(b *testing.B, wl workload.Kind, kd keys.Distribution) {
-	for _, name := range cpq.PaperNames() {
-		for _, p := range []int{2, 4, 8} { // the paper's quality thread counts
-			b.Run(fmt.Sprintf("%s/t%d", name, p), func(b *testing.B) {
-				benchQualityCell(b, name, p, wl, kd)
-			})
-		}
-	}
-}
-
-// Table 2 (mars; = Tables 3, 4 on saturn/ceres). Table 1 is Table 2a.
-func BenchmarkTable2a(b *testing.B) { benchTable(b, workload.Uniform, keys.Uniform32) }
-func BenchmarkTable2b(b *testing.B) { benchTable(b, workload.Uniform, keys.Ascending) }
-func BenchmarkTable2c(b *testing.B) { benchTable(b, workload.Uniform, keys.Descending) }
-func BenchmarkTable2d(b *testing.B) { benchTable(b, workload.Split, keys.Uniform32) }
-func BenchmarkTable2e(b *testing.B) { benchTable(b, workload.Split, keys.Ascending) }
-func BenchmarkTable2f(b *testing.B) { benchTable(b, workload.Split, keys.Descending) }
-func BenchmarkTable2g(b *testing.B) { benchTable(b, workload.Uniform, keys.Uniform8) }
-func BenchmarkTable2h(b *testing.B) { benchTable(b, workload.Uniform, keys.Uniform16) }
-
-// Table 5: rank error under the alternating workload.
-func BenchmarkTable5a(b *testing.B) { benchTable(b, workload.Alternating, keys.Uniform32) }
-func BenchmarkTable5b(b *testing.B) { benchTable(b, workload.Alternating, keys.Ascending) }
-func BenchmarkTable5c(b *testing.B) { benchTable(b, workload.Alternating, keys.Descending) }
 
 // --- Ablations (design-choice benches from DESIGN.md §10) -----------------
 

@@ -1,309 +1,148 @@
-// Command pqbench runs the paper's throughput benchmark and prints one
-// table per cell: thread count vs. queue implementation, in MOps/s with
-// 95% confidence intervals over repeated runs.
+// Command pqbench is the paper's benchmark tool. It measures the two things
+// the paper's evaluation reports, throughput and rank error, and checks the
+// queues' claimed relaxation bounds. The first argument selects the mode:
 //
-// Regenerate a specific paper figure:
+//	pqbench [cells] [flags]   throughput and rank-error cells (the default)
+//	pqbench verify [flags]    each deletion's definite rank vs. its queue's bound
+//	pqbench chaos [flags]     the fault-injection stress pass
 //
-//	pqbench -figure 1                 # Figure 1 / 4a: uniform workload, uniform 32-bit keys
-//	pqbench -figure 4e -duration 10s -reps 10
+// Cells mode runs one throughput cell (a -figure panel, or -workload and
+// -keys), one rank-error cell (a -table panel), or the whole grid as one
+// markdown report (-figure all -table all; either alone gives its half):
 //
-// or specify the cell explicitly:
+//	pqbench -figure 4e -duration 10s -reps 10  # Figure 2 / 4e at paper scale
+//	pqbench -table 1                           # Table 1 / 2a: mean rank (stddev)
+//	pqbench -figure all -table all -out report.md
 //
-//	pqbench -workload split -keys ascending -threads 1,2,4,8 \
-//	        -queues klsm128,klsm256,klsm4096,linden,spray,multiq,globallock
+// -queues takes registry identifiers and the aliases paper, engineered and
+// klsm in every mode. With -batch N the workers move items through
+// InsertN/DeleteMinN in groups of N, each counting as N operations.
 //
-// The -queues list accepts aliases: "paper" (the seven variants above),
-// "engineered" (seed multiq vs. the engineered multiq-s4-b8 vs. klsm4096)
-// and "klsm" (the paper's three relaxation settings):
-//
-//	pqbench -queues engineered -threads 8
-//	pqbench -queues klsm -threads 8
-//
-// With -batch N the workers issue their operations through the batch API
-// (InsertN/DeleteMinN, DESIGN.md §4c) in groups of N; MOps/s stays
-// comparable across widths because a batch of N counts as N operations.
-//
-// The defaults use a short duration and few repetitions so a full sweep
-// stays laptop-friendly; the paper's setup corresponds to -duration 10s
-// -reps 10 -prefill 1000000.
+// Exit status: 2 for a usage error, 1 for a failed verdict, a chaos
+// violation or an I/O error, 0 otherwise.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
+	"strings"
 
 	"cpq"
 	"cpq/internal/cli"
-	"cpq/internal/harness"
-	"cpq/internal/keys"
 	"cpq/internal/pq"
-	"cpq/internal/stats"
-	"cpq/internal/telemetry"
-	"cpq/internal/workload"
 )
 
 func main() {
-	var (
-		figure    = flag.String("figure", "", "paper figure to regenerate (1, 2, 3, 4a-4h, 8a-8c); overrides -workload/-keys")
-		workloadF = flag.String("workload", "uniform", "workload: uniform, split, alternating")
-		keysF     = flag.String("keys", "uniform32", "key distribution: uniform32, uniform16, uniform8, ascending, descending")
-		queuesF   = flag.String("queues", "", "comma-separated queue list; aliases: paper, engineered, klsm (default: the paper's seven variants)")
-		threadsF  = flag.String("threads", "1,2,4,8", "comma-separated thread counts")
-		duration  = flag.Duration("duration", time.Second, "measurement duration per run (paper: 10s)")
-		reps      = flag.Int("reps", 3, "repetitions per cell (paper: 10)")
-		prefill   = flag.Int("prefill", harness.DefaultPrefill, "prefill size (paper: 1000000)")
-		seed      = flag.Uint64("seed", 0, "base RNG seed (0 = default)")
-		pin       = flag.Bool("pin", false, "lock worker goroutines to OS threads")
-		batch     = flag.Int("batch", 1, "operation batch width: route inserts/deletes through InsertN/DeleteMinN in batches of this size (1 = scalar; see DESIGN.md §4c)")
-		altBatch  = flag.Int("altbatch", 1, "phase length for the alternating workload (Appendix F); formerly -batch")
-		opsMode   = flag.Int("ops", 0, "latency mode: run this many ops per thread instead of a fixed duration")
-		machine   = flag.String("machine", "localhost", "machine label; the paper's hosts (mars, saturn, ceres, pluto) preset the thread sweep of their figures")
-		csvOut    = flag.Bool("csv", false, "emit CSV (threads,queue,mops,ci95; with -ops: threads,queue,seconds,p50_ns,p99_ns) instead of a table")
-		markdown  = flag.Bool("markdown", false, "emit a markdown table instead of plain text")
-		plot      = flag.Bool("plot", false, "also render an ASCII chart of throughput vs threads (like the paper's figures)")
-		telemF    = flag.Bool("telemetry", false, "collect queue-internals counters and latency histograms; prints one section per cell after the table (see DESIGN.md §5)")
-		churnN    = flag.Int("churn", 0, "goroutine-churn mode: spawn this many short-lived goroutines per cell through the handle pool instead of the fixed-duration grid (the -threads sweep becomes the concurrent-slot sweep)")
-		churnAb   = flag.Int("churn-abandon", 0, "churn mode: every Nth goroutine abandons its handle instead of releasing it (0 = never)")
-		churnNv   = flag.Bool("churn-naive", false, "churn mode: use the naive mutex-guarded handle list instead of the pool (baseline)")
-		churnCap  = flag.Int("churn-cap", 0, "churn mode: pool handle cap (0 = slots+64; headroom amortizes one collector cycle over many abandonments)")
-		churnBur  = flag.Int("churn-burst", 0, "churn mode: ops per short-lived goroutine (0 = the harness default, 64)")
-	)
-	prof := cli.NewProfiler(flag.CommandLine)
-	flag.Parse()
-	telemetry.Enabled = *telemF
-	stopProf, err := prof.Start()
-	exitOn(err)
-	defer stopProf()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	wl, err := workload.Parse(*workloadF)
-	exitOn(err)
-	kd, err := keys.Parse(*keysF)
-	exitOn(err)
-	cellID := ""
-	if *figure != "" {
-		cell, err := cli.FigureByID(*figure)
-		exitOn(err)
-		wl, kd, cellID = cell.Workload, cell.KeyDist, cell.ID
-	}
-	threads, err := cli.ParseThreads(*threadsF)
-	exitOn(err)
-	if m, ok := cli.MachineByName(*machine); ok && !flagSet("threads") {
-		threads = m.Threads // paper-machine preset, unless -threads overrides
-	}
-	queueNames := cpq.PaperNames()
-	if *queuesF != "" {
-		queueNames = cli.ExpandQueues(cli.ParseList(*queuesF))
-	}
-	cli.ValidateQueues("pqbench", queueNames) // validate before burning benchmark time
-	cli.ValidateBatch("pqbench", *batch)
-	cli.ValidateBatch("pqbench", *altBatch)
+// mode is one parsed invocation: check validates and resolves its flag
+// values after parsing; exec runs it and reports whether a verdict failed.
+type mode interface {
+	check() error
+	profiler() *cli.Profiler
+	exec(w io.Writer) (failed bool, err error)
+}
 
-	if *churnN > 0 {
-		runChurnTable(queueNames, threads, wl, kd,
-			*churnN, *churnBur, *churnAb, *churnCap, *prefill, *reps, *seed, *churnNv, *markdown)
-		return
-	}
+// errShown is a usage error the flag set has already printed.
+var errShown = errors.New("usage error")
 
-	run := fmt.Sprintf("duration=%v reps=%d", *duration, *reps)
-	csvHead := "threads,queue,mops,ci95"
-	footer := "# cells are MOps/s (insertions+deletions per second / 1e6), mean ±95% CI"
-	if *opsMode > 0 {
-		run = fmt.Sprintf("ops=%d", *opsMode)
-		csvHead = "threads,queue,seconds,p50_ns,p99_ns"
-		footer = "# cells are seconds for one run of ops per thread, with sampled per-op latency percentiles"
-	}
-	header := fmt.Sprintf("# machine=%s workload=%s keys=%s prefill=%d %s",
-		*machine, wl, kd, *prefill, run)
-	if *batch > 1 {
-		header += fmt.Sprintf(" batch=%d", *batch)
-	}
-	if cellID != "" {
-		header = fmt.Sprintf("# figure %s  %s", cellID, header[2:])
-	}
-	fmt.Println(header)
-
-	var table cli.Table
-	row := []string{"threads"}
-	for _, name := range queueNames {
-		row = append(row, name)
-	}
-	table.AddRow(row...)
-	curves := map[string][]float64{}
-	type telemEntry struct {
-		threads int
-		queue   string
-		ops     uint64
-		snap    telemetry.Snapshot
-	}
-	var telemEntries []telemEntry
-	var csvRows []string // the same cells, as CSV rows in table order
-	for _, p := range threads {
-		row := []string{fmt.Sprintf("%d", p)}
-		for _, name := range queueNames {
-			name := name
-			cfg := harness.Config{
-				NewQueue: func(t int) pq.Queue {
-					q, err := cpq.NewQueue(name, cpq.Options{Threads: t})
-					exitOn(err)
-					return q
-				},
-				Threads:   p,
-				Duration:  *duration,
-				Workload:  wl,
-				KeyDist:   kd,
-				Prefill:   *prefill,
-				BatchSize: *altBatch,
-				OpBatch:   *batch,
-				Seed:      *seed,
-				Pin:       *pin,
-			}
-			if *opsMode > 0 {
-				// Latency mode: fixed op count; report elapsed time and
-				// sampled per-op latency percentiles.
-				res := harness.RunOps(cfg, *opsMode)
-				row = append(row, fmt.Sprintf("%.3fs p50=%.0fns p99=%.0fns",
-					res.Duration.Seconds(), res.LatencyP50, res.LatencyP99))
-				csvRows = append(csvRows, fmt.Sprintf("%d,%s,%.6f,%.0f,%.0f",
-					p, name, res.Duration.Seconds(), res.LatencyP50, res.LatencyP99))
-				curves[name] = append(curves[name], res.MOps())
-				if res.Telemetry != nil {
-					telemEntries = append(telemEntries,
-						telemEntry{p, name, res.Ops, *res.Telemetry})
-				}
-			} else {
-				s := harness.RunRepeated(cfg, *reps)
-				row = append(row, fmt.Sprintf("%.3f ±%.3f", s.Throughput.Mean, s.Throughput.CI95))
-				csvRows = append(csvRows, fmt.Sprintf("%d,%s,%.3f,%.3f",
-					p, name, s.Throughput.Mean, s.Throughput.CI95))
-				curves[name] = append(curves[name], s.Throughput.Mean)
-				if s.Telemetry != nil {
-					var ops uint64
-					for _, r := range s.Results {
-						ops += r.Ops
-					}
-					telemEntries = append(telemEntries,
-						telemEntry{p, name, ops, *s.Telemetry})
-				}
-			}
-		}
-		table.AddRow(row...)
-	}
+// run executes one command line and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	m, err := parse(args, stderr)
 	switch {
-	case *csvOut:
-		fmt.Println(csvHead)
-		for _, r := range csvRows {
-			fmt.Println(r)
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		if err != errShown {
+			fmt.Fprintln(stderr, "pqbench:", err)
 		}
-	case *markdown:
-		fmt.Print(table.Markdown())
-	default:
-		fmt.Print(table.String())
+		return 2
 	}
-	fmt.Println(footer)
-	if len(telemEntries) > 0 {
-		fmt.Println("\n# telemetry (counters summed over reps; rates are per completed op; see DESIGN.md §5)")
-		for _, e := range telemEntries {
-			fmt.Printf("## threads=%d queue=%s ops=%d\n", e.threads, e.queue, e.ops)
-			fmt.Print(e.snap.Table("  ", e.ops))
-			fmt.Print(e.snap.LatencySummary("  "))
-		}
-	}
-	if *plot {
-		chart := cli.NewPlot(header, threads)
-		chart.XLabel, chart.YLabel = "threads", "MOps/s"
-		for _, name := range queueNames {
-			chart.AddSeries(name, curves[name])
-		}
-		fmt.Println()
-		fmt.Print(chart.String())
-	}
-}
-
-// runChurnTable is the -churn mode: a slots × queue table of goroutine-
-// churn throughput (harness.RunChurn). Each cell spawns `goroutines`
-// short-lived goroutines across `slots` concurrent slots, every one
-// checking a handle out of the pool (or the naive baseline's mutex-guarded
-// list), doing a small op burst, and checking it back in; the reported
-// MOps/s includes that lifecycle cost. Handle accounting (created, steals)
-// is appended to each cell so abandonment recovery is visible in the table.
-func runChurnTable(queueNames []string, slotCounts []int,
-	wl workload.Kind, kd keys.Distribution,
-	goroutines, burst, abandonEvery, capHandles, prefill, reps int, seed uint64,
-	naive, markdown bool) {
-	lifecycle := "pool"
-	if naive {
-		lifecycle = "naive"
-	}
-	fmt.Printf("# churn goroutines=%d lifecycle=%s abandon_every=%d workload=%s keys=%s prefill=%d reps=%d\n",
-		goroutines, lifecycle, abandonEvery, wl, kd, prefill, reps)
-
-	var table cli.Table
-	head := []string{"slots"}
-	head = append(head, queueNames...)
-	table.AddRow(head...)
-	for _, slots := range slotCounts {
-		row := []string{fmt.Sprintf("%d", slots)}
-		// Headroom above the working set: a starved Acquire blocks on a
-		// collector cycle, so the cap decides how many abandonments one
-		// cycle amortizes over. slots+1 would GC per abandonment.
-		poolCap := capHandles
-		if poolCap <= 0 {
-			poolCap = slots + 64
-		}
-		for _, name := range queueNames {
-			name := name
-			var mops []float64
-			var last harness.ChurnStats
-			for rep := 0; rep < reps; rep++ {
-				last = harness.RunChurn(harness.ChurnConfig{
-					NewQueue: func(t int) pq.Queue {
-						q, err := cpq.NewQueue(name, cpq.Options{Threads: t})
-						exitOn(err)
-						return q
-					},
-					Slots:        slots,
-					Goroutines:   goroutines,
-					BurstOps:     burst,
-					Workload:     wl,
-					KeyDist:      kd,
-					Prefill:      prefill,
-					Seed:         seed + uint64(rep),
-					AbandonEvery: abandonEvery,
-					MaxHandles:   poolCap,
-					Naive:        naive,
-				})
-				mops = append(mops, last.MOps())
-			}
-			s := stats.Summarize(mops)
-			row = append(row, fmt.Sprintf("%.3f ±%.3f h=%d s=%d",
-				s.Mean, s.CI95, last.HandlesCreated, last.Steals))
-		}
-		table.AddRow(row...)
-	}
-	if markdown {
-		fmt.Print(table.Markdown())
-	} else {
-		fmt.Print(table.String())
-	}
-	fmt.Println("# cells are MOps/s mean ±95% CI; h = handles created, s = abandoned handles stolen back (last rep)")
-}
-
-// flagSet reports whether the named flag was explicitly provided.
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-func exitOn(err error) {
+	stop, err := m.profiler().Start()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pqbench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pqbench:", err)
+		return 2
+	}
+	defer stop()
+	failed, err := m.exec(stdout)
+	if err != nil {
+		fmt.Fprintln(stderr, "pqbench:", err)
+		return 1
+	}
+	if failed {
+		return 1
+	}
+	return 0
+}
+
+// parse reads a command line into its mode, checking every value before
+// any benchmark time is spent.
+func parse(args []string, stderr io.Writer) (mode, error) {
+	name := "cells"
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
+	}
+	fs := flag.NewFlagSet("pqbench "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var m mode
+	switch name {
+	case "cells":
+		m = newCells(fs)
+	case "verify", "chaos":
+		m = newCheck(fs, name == "chaos")
+	default:
+		return nil, fmt.Errorf("unknown mode %q (want cells, verify or chaos)", name)
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, err
+		}
+		return nil, errShown
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return m, m.check()
+}
+
+// common holds the flags every mode has.
+type common struct {
+	queuesF string
+	queues  []string
+	seed    uint64
+	batch   int
+	prof    *cli.Profiler
+}
+
+func (c *common) register(fs *flag.FlagSet, queuesDefault string) {
+	fs.StringVar(&c.queuesF, "queues", "", "comma-separated queue list; aliases: paper, engineered, klsm (default: "+queuesDefault+")")
+	fs.Uint64Var(&c.seed, "seed", 0, "base RNG seed (0 = default; chaos: replays a failing run's injection)")
+	fs.IntVar(&c.batch, "batch", 1, "operation batch width: route operations through InsertN/DeleteMinN in batches of this size (1 = scalar; see DESIGN.md §4c)")
+	c.prof = cli.NewProfiler(fs)
+}
+
+// resolve reads -queues (empty selects def) and checks -batch.
+func (c *common) resolve(def []string) (err error) {
+	if c.queues, err = cli.ParseQueues(c.queuesF, def); err != nil {
+		return err
+	}
+	return cli.CheckBatch("batch", c.batch)
+}
+
+func (c *common) profiler() *cli.Profiler { return c.prof }
+
+// factory constructs the named queue; parse has already built it once, so
+// an error here is a registry bug.
+func factory(name string) func(threads int) pq.Queue {
+	return func(threads int) pq.Queue {
+		q, err := cpq.NewQueue(name, cpq.Options{Threads: threads})
+		if err != nil {
+			panic(err)
+		}
+		return q
 	}
 }

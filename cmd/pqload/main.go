@@ -67,9 +67,14 @@ func main() {
 		*duration, *reps, *prefill, *conns = 300*time.Millisecond, 1, 2000, 4
 		*queuesF = "multiq-s4-b8"
 	}
-	queueSpecs := cli.ExpandQueues(cli.ParseList(*queuesF))
-	cli.ValidateQueues("pqload", queueSpecs)
-	cli.ValidateBatch("pqload", *batch)
+	queueSpecs, err := cli.ParseQueues(*queuesF, nil)
+	if err == nil {
+		err = cli.CheckBatch("batch", *batch)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pqload:", err)
+		os.Exit(2)
+	}
 	if *batch > netpq.MaxBatch {
 		fmt.Fprintf(os.Stderr, "pqload: batch %d above protocol max %d\n", *batch, netpq.MaxBatch)
 		os.Exit(1)

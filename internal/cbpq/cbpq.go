@@ -36,7 +36,7 @@
 // This trades the FAA fast path for a simpler strict design; the freeze
 // and split protocols follow the original.
 //
-// Registry identifier: "cbpq"; strict (cmd/pqverify checks that no
+// Registry identifier: "cbpq"; strict (`pqbench verify` checks that no
 // deletion has a definite rank above 0). In the extension-queue grid of
 // EXPERIMENTS.md it is the fastest strict structure, consistent with the
 // original's mixed-workload claim.

@@ -1,24 +1,19 @@
 package cli
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
-// MaxBatch caps the -batch operation width accepted by the tools. The
+// MaxBatch caps the operation batch widths accepted by the tools. The
 // limit is arbitrary but catches unit mistakes (a duration or key count
 // pasted into -batch) before a run allocates per-worker scratch of that
 // size.
 const MaxBatch = 1 << 16
 
-// ValidateBatch checks an operation batch width, exiting with status 2 on
-// an out-of-range value — the same up-front typed exit ValidateQueues uses
-// for queue names, so a bad flag is reported before any benchmark time is
-// burned. Width 1 means scalar operation; widths above 1 route the
-// workload through InsertN/DeleteMinN.
-func ValidateBatch(tool string, batch int) {
+// CheckBatch checks the batch width given to the named flag. Width 1 means
+// scalar operation; widths above 1 route the workload through
+// InsertN/DeleteMinN.
+func CheckBatch(flagName string, batch int) error {
 	if batch < 1 || batch > MaxBatch {
-		fmt.Fprintf(os.Stderr, "%s: invalid -batch %d (want 1..%d)\n", tool, batch, MaxBatch)
-		os.Exit(2)
+		return fmt.Errorf("invalid -%s %d (want 1..%d)", flagName, batch, MaxBatch)
 	}
+	return nil
 }

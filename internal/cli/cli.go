@@ -1,14 +1,15 @@
-// Package cli holds the pieces shared by the pqbench, pqquality and pqrepro
-// command-line tools: the mapping from the paper's figure/table identifiers
-// to benchmark cells, thread-list parsing and plain-text table rendering.
+// Package cli holds the pieces shared by the pqbench, pqd and pqload
+// commands: the mapping from the paper's figure/table identifiers to
+// benchmark cells, list parsing, flag checks, profiling and plain-text
+// table rendering.
 package cli
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
+	"cpq"
 	"cpq/internal/keys"
 	"cpq/internal/workload"
 )
@@ -44,27 +45,28 @@ func Figures() []Cell {
 
 // FigureByID resolves a panel identifier like "4a", "1" (headline figure 1 =
 // 4a), "2" (= 4e), "3" (= 4g), or "8b". Machine-specific figure numbers map
-// to the same cells: "5a"/"6a"/"7a" behave like "4a", "9b" like "8b".
+// to the same cells: "5a"/"6a"/"7a" behave like "4a", "9b" like "8b". An
+// unknown identifier's error names it as given.
 func FigureByID(id string) (Cell, error) {
-	id = strings.ToLower(strings.TrimSpace(id))
-	switch id {
+	key := strings.ToLower(strings.TrimSpace(id))
+	switch key {
 	case "1":
-		id = "4a"
+		key = "4a"
 	case "2":
-		id = "4e"
+		key = "4e"
 	case "3":
-		id = "4g"
+		key = "4g"
 	}
-	if len(id) == 2 {
-		switch id[0] {
+	if len(key) == 2 {
+		switch key[0] {
 		case '5', '6', '7':
-			id = "4" + id[1:]
+			key = "4" + key[1:]
 		case '9':
-			id = "8" + id[1:]
+			key = "8" + key[1:]
 		}
 	}
 	for _, c := range Figures() {
-		if c.ID == id {
+		if c.ID == key {
 			return c, nil
 		}
 	}
@@ -73,19 +75,21 @@ func FigureByID(id string) (Cell, error) {
 
 // TableByID maps the paper's quality-table panels onto benchmark cells.
 // Table 1 = Table 2a; Tables 2-4 panels a-h mirror the throughput panels;
-// Table 5 panels a-c are the alternating workload.
+// Table 5 panels a-c are the alternating workload. An unknown identifier's
+// error names it as given.
 func TableByID(id string) (Cell, error) {
-	id = strings.ToLower(strings.TrimSpace(id))
-	if id == "1" {
-		return FigureByID("4a")
+	key := strings.ToLower(strings.TrimSpace(id))
+	fig := ""
+	switch {
+	case key == "1":
+		fig = "4a"
+	case len(key) == 2 && strings.IndexByte("234", key[0]) >= 0:
+		fig = "4" + key[1:]
+	case len(key) == 2 && key[0] == '5':
+		fig = "8" + key[1:]
 	}
-	if len(id) == 2 {
-		switch id[0] {
-		case '2', '3', '4':
-			return FigureByID("4" + id[1:])
-		case '5':
-			return FigureByID("8" + id[1:])
-		}
+	if c, err := FigureByID(fig); err == nil {
+		return c, nil
 	}
 	return Cell{}, fmt.Errorf("unknown table %q (known: 1, 2a-2h, 5a-5c)", id)
 }
@@ -127,7 +131,7 @@ func ParseList(s string) []string {
 // vs. the paper's strongest k-LSM); "klsm" is the paper's three k-LSM
 // relaxation settings.
 var queueAliases = map[string][]string{
-	"paper":      {"klsm128", "klsm256", "klsm4096", "linden", "spray", "multiq", "globallock"},
+	"paper":      cpq.PaperNames(),
 	"engineered": {"multiq", "multiq-s4-b8", "klsm4096"},
 	"klsm":       {"klsm128", "klsm256", "klsm4096"},
 }
@@ -169,11 +173,6 @@ func (t *Table) String() string {
 			}
 		}
 	}
-	cols := make([]int, 0, len(widths))
-	for i := range widths {
-		cols = append(cols, i)
-	}
-	sort.Ints(cols)
 	var b strings.Builder
 	for _, row := range t.rows {
 		for i, c := range row {
@@ -207,34 +206,4 @@ func (t *Table) Markdown() string {
 		}
 	}
 	return b.String()
-}
-
-// Machine describes one of the paper's experimental hosts as a benchmark
-// preset: the thread counts its figures sweep. On a different host the
-// preset simply selects the sweep; it cannot (and does not pretend to)
-// emulate the hardware.
-type Machine struct {
-	Name    string
-	Threads []int
-	Desc    string
-}
-
-// Machines lists the paper's four hosts (Appendix E).
-func Machines() []Machine {
-	return []Machine{
-		{"mars", []int{1, 2, 4, 8, 10, 12, 14, 16}, "8-core Intel Xeon E7-8850, 2-way HT (threads beyond 8 use HT)"},
-		{"saturn", []int{1, 2, 4, 8, 16, 24, 32, 48}, "48-core AMD Opteron 6168 (4x12), no HT"},
-		{"ceres", []int{1, 2, 4, 8, 16, 32, 64, 128, 256}, "64-core SPARCv9 (4x16), 8-way HT"},
-		{"pluto", []int{1, 2, 4, 8, 16, 32, 61, 122, 244}, "61-core Intel Xeon Phi, 4-way HT"},
-	}
-}
-
-// MachineByName resolves a machine preset; unknown names return ok=false.
-func MachineByName(name string) (Machine, bool) {
-	for _, m := range Machines() {
-		if strings.EqualFold(strings.TrimSpace(name), m.Name) {
-			return m, true
-		}
-	}
-	return Machine{}, false
 }

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -50,11 +51,12 @@ func TestFigureAliases(t *testing.T) {
 			t.Fatalf("alias %s != %s (%v, %v)", pair[0], pair[1], err1, err2)
 		}
 	}
-	if _, err := FigureByID("4z"); err == nil {
-		t.Fatal("bogus figure accepted")
-	}
-	if _, err := FigureByID(""); err == nil {
-		t.Fatal("empty figure accepted")
+	// An error names the identifier as given, not the panel it aliases.
+	for _, id := range []string{"4z", "9z", " 5Z", ""} {
+		_, err := FigureByID(id)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown figure %q", id)) {
+			t.Fatalf("FigureByID(%q) error = %v, want it to name %q", id, err, id)
+		}
 	}
 }
 
@@ -145,38 +147,11 @@ func TestTableByID(t *testing.T) {
 			t.Fatalf("table alias %s != %s", pair[0], pair[1])
 		}
 	}
-	if _, err := TableByID("6a"); err == nil {
-		t.Fatal("bogus table accepted")
-	}
-	if _, err := TableByID(""); err == nil {
-		t.Fatal("empty table accepted")
-	}
-}
-
-func TestMachines(t *testing.T) {
-	ms := Machines()
-	if len(ms) != 4 {
-		t.Fatalf("%d machines, want 4", len(ms))
-	}
-	for _, m := range ms {
-		if len(m.Threads) == 0 || m.Threads[0] != 1 {
-			t.Fatalf("machine %s sweep must start at 1 thread: %v", m.Name, m.Threads)
+	for _, id := range []string{"6a", "3z", "5d", "1x", ""} {
+		_, err := TableByID(id)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown table %q", id)) {
+			t.Fatalf("TableByID(%q) error = %v, want it to name table %q", id, err, id)
 		}
-		for i := 1; i < len(m.Threads); i++ {
-			if m.Threads[i] <= m.Threads[i-1] {
-				t.Fatalf("machine %s sweep not increasing: %v", m.Name, m.Threads)
-			}
-		}
-	}
-	mars, ok := MachineByName(" MARS ")
-	if !ok || mars.Name != "mars" {
-		t.Fatal("case-insensitive machine lookup failed")
-	}
-	if mars.Threads[len(mars.Threads)-1] != 16 {
-		t.Fatalf("mars tops out at %d, want 16 (2-way HT over 8 cores)", mars.Threads[len(mars.Threads)-1])
-	}
-	if _, ok := MachineByName("jupiter"); ok {
-		t.Fatal("unknown machine resolved")
 	}
 }
 

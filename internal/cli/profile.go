@@ -10,7 +10,7 @@ import (
 )
 
 // Profiler wires the standard Go profiling trio (-cpuprofile, -memprofile,
-// -trace) into a flag set and manages their lifecycle. All four CLI tools
+// -trace) into a flag set and manages their lifecycle. pqbench and pqd
 // share it so profiles are taken identically everywhere:
 //
 //	prof := cli.NewProfiler(flag.CommandLine)
@@ -37,11 +37,6 @@ func NewProfiler(fs *flag.FlagSet) *Profiler {
 	fs.StringVar(&p.memPath, "memprofile", "", "write a heap profile to `file` at exit (go tool pprof)")
 	fs.StringVar(&p.tracePath, "trace", "", "write an execution trace to `file` (go tool trace)")
 	return p
-}
-
-// Active reports whether any profiling flag was set.
-func (p *Profiler) Active() bool {
-	return p.cpuPath != "" || p.memPath != "" || p.tracePath != ""
 }
 
 // Start begins the requested profiles. The returned stop function is safe to

@@ -1,35 +1,25 @@
 package cli
 
 import (
-	"errors"
-	"fmt"
-	"os"
-	"strings"
-
 	"cpq"
+	"cpq/internal/pq"
 )
 
-// ValidateQueues checks that every name constructs through the registry,
-// exiting via ExitQueueErr otherwise. Tools call it up front so a typo is
-// reported before any benchmark time is burned.
-func ValidateQueues(tool string, names []string) {
+// ParseQueues reads a -queues list: it splits it, expands its aliases
+// (ExpandQueues) and builds every name once through the registry, so a typo
+// is reported before any benchmark time is spent. An empty list selects def.
+// An unknown name's error (*cpq.UnknownQueueError) lists the known ones.
+func ParseQueues(s string, def []string) ([]string, error) {
+	names := def
+	if list := ParseList(s); list != nil {
+		names = ExpandQueues(list)
+	}
 	for _, n := range names {
-		if _, err := cpq.NewQueue(n, cpq.Options{}); err != nil {
-			ExitQueueErr(tool, err)
+		q, err := cpq.NewQueue(n, cpq.Options{})
+		if err != nil {
+			return nil, err
 		}
+		pq.Close(q) // an empty in-memory queue: nothing to flush, no error to report
 	}
-}
-
-// ExitQueueErr prints a queue-construction error and exits with status 2.
-// An unknown identifier (*cpq.UnknownQueueError) gets the registry's known
-// identifiers printed as a separate usage-hint line.
-func ExitQueueErr(tool string, err error) {
-	var unknown *cpq.UnknownQueueError
-	if errors.As(err, &unknown) {
-		fmt.Fprintf(os.Stderr, "%s: unknown queue %q\n", tool, unknown.Name)
-		fmt.Fprintf(os.Stderr, "%s: known queues: %s\n", tool, strings.Join(unknown.Known, ", "))
-	} else {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-	}
-	os.Exit(2)
+	return names, nil
 }

@@ -35,12 +35,11 @@ type ChurnConfig struct {
 	// BurstOps is how many operations each goroutine performs between
 	// checkout and checkin (the "small op burst"; default 64).
 	BurstOps int
-	// Workload, KeyDist, Prefill, InsertFrac and Seed mirror Config.
-	Workload   workload.Kind
-	KeyDist    keys.Distribution
-	Prefill    int
-	InsertFrac float64
-	Seed       uint64
+	// Workload, KeyDist, Prefill and Seed mirror Config.
+	Workload workload.Kind
+	KeyDist  keys.Distribution
+	Prefill  int
+	Seed     uint64
 	// AbandonEvery, when > 0, makes every AbandonEvery-th goroutine exit
 	// without returning its handle. Pool mode recovers these by stealing;
 	// the naive baseline loses the handle outright (and, being naive, any
@@ -193,7 +192,7 @@ func RunChurn(cfg ChurnConfig) ChurnStats {
 			// goroutine cost is the handle lifecycle, not generator setup.
 			r := rng.New(cfg.Seed + uint64(s)*0x6a09e667f3bcc909)
 			gen := keys.NewGenerator(cfg.KeyDist, r)
-			policy := workload.ForWorkerBatched(cfg.Workload, s, cfg.Slots, cfg.InsertFrac, 0, r)
+			policy := workload.ForWorker(cfg.Workload, s, cfg.Slots, 0.5, r)
 			var ops, empty uint64
 			done := make(chan struct{}) // reused by every goroutine of this slot
 			<-start

@@ -9,7 +9,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +40,6 @@ type Config struct {
 	// Prefill is the number of items inserted before measurement;
 	// negative selects DefaultPrefill, zero means no prefill.
 	Prefill int
-	// InsertFrac is the insertion probability under the Uniform workload
-	// (0 selects the paper's 0.5).
-	InsertFrac float64
 	// BatchSize is the operation batch size under the Alternating workload
 	// (Appendix F's "operation batch size"; 0/1 = strict alternation,
 	// large values approximate the sorting benchmark).
@@ -58,9 +54,6 @@ type Config struct {
 	OpBatch int
 	// Seed makes runs reproducible; 0 selects a fixed default.
 	Seed uint64
-	// Pin, when set, locks each worker goroutine to an OS thread for the
-	// duration of the run (closest Go analogue of the paper's core pinning).
-	Pin bool
 }
 
 func (c Config) withDefaults() Config {
@@ -142,15 +135,11 @@ func Run(cfg Config) Result {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if cfg.Pin {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			h := q.Handle()
 			tel := telemetry.NewShard()
 			r := rng.New(cfg.Seed + uint64(w)*0x6a09e667f3bcc909)
 			gen := keys.NewGenerator(cfg.KeyDist, r)
-			policy := workload.ForWorkerBatched(cfg.Workload, w, cfg.Threads, cfg.InsertFrac, cfg.BatchSize, r)
+			policy := workload.ForWorkerBatched(cfg.Workload, w, cfg.Threads, 0.5, cfg.BatchSize, r)
 			var ops, empty uint64
 			if cfg.OpBatch > 1 {
 				b := cfg.OpBatch
@@ -292,15 +281,11 @@ func RunOps(cfg Config, opsPerThread int) Result {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if cfg.Pin {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			h := q.Handle()
 			tel := telemetry.NewShard()
 			r := rng.New(cfg.Seed + uint64(w)*0x6a09e667f3bcc909)
 			gen := keys.NewGenerator(cfg.KeyDist, r)
-			policy := workload.ForWorkerBatched(cfg.Workload, w, cfg.Threads, cfg.InsertFrac, cfg.BatchSize, r)
+			policy := workload.ForWorkerBatched(cfg.Workload, w, cfg.Threads, 0.5, cfg.BatchSize, r)
 			local := make([]float64, 0, opsPerThread/latencySampleEvery+1)
 			var done, empty uint64
 			if cfg.OpBatch > 1 {

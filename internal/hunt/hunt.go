@@ -31,7 +31,7 @@
 // under concurrency, not only at quiescence, at the cost of holding the
 // root across the detach.
 //
-// Registry identifier: "hunt"; strict (cmd/pqverify checks that no
+// Registry identifier: "hunt"; strict (`pqbench verify` checks that no
 // deletion has a definite rank above 0). It appears in the extension-queue
 // grid of EXPERIMENTS.md, where it shows the design's known profile: fast
 // at one thread, degrading fastest with contention (the global size lock

@@ -13,7 +13,7 @@
 // ablation pair for the benchmarks. The lotan-claim-fail counter reports
 // the scan steps lost to that head contention (DESIGN.md §5).
 //
-// Registry identifier: "lotan"; strict at quiescence (cmd/pqverify checks
+// Registry identifier: "lotan"; strict at quiescence (`pqbench verify` checks
 // that no deletion has a definite rank above 0). It shares
 // internal/skiplist with linden and spray, which makes it the exact-scan
 // control in the spray-vs-scan ablation (DESIGN.md §10): same substrate,

@@ -14,7 +14,7 @@
 // head and restores the invariant by "moundifying": swapping whole lists
 // toward the root, hand-over-hand, parent locked before child.
 //
-// Registry identifier: "mound"; strict at quiescence (cmd/pqverify checks
+// Registry identifier: "mound"; strict at quiescence (`pqbench verify` checks
 // that no deletion has a definite rank above 0). The randomized insertion
 // probe needs a per-goroutine RNG, which lives on the Handle — one more
 // reason handles must not be shared between goroutines.

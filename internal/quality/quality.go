@@ -48,10 +48,6 @@ type Config struct {
 	// negative selects 10^6 as in the throughput benchmark. Quality runs
 	// typically use a smaller prefill so replay time stays reasonable.
 	Prefill int
-	// InsertFrac as in the throughput harness (0 → 0.5).
-	InsertFrac float64
-	// BatchSize as in the throughput harness (Alternating workload only).
-	BatchSize int
 	// OpBatch as in the throughput harness: with OpBatch >= 2 the measured
 	// phase moves items through InsertN/DeleteMinN in batches of this width.
 	// A batch call's items share its invocation and response stamps, so
@@ -168,7 +164,7 @@ func Run(cfg Config) Result {
 			lg := rec.Log(cfg.OpsPerThread)
 			r := rng.New(cfg.Seed + uint64(w)*0x6a09e667f3bcc909)
 			gen := keys.NewGenerator(cfg.KeyDist, r)
-			policy := workload.ForWorkerBatched(cfg.Workload, w, cfg.Threads, cfg.InsertFrac, cfg.BatchSize, r)
+			policy := workload.ForWorker(cfg.Workload, w, cfg.Threads, 0.5, r)
 			b := max(cfg.OpBatch, 1)
 			kvs := make([]pq.KV, b) // b == 1: scalar Insert/DeleteMin calls
 			<-start

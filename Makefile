@@ -26,7 +26,8 @@ race:
 # engineered MultiQueue's buffer stealing, the k-LSM's pooled hot path with
 # spy/run-buffer stealing, the packed-word skiplist substrate and its
 # lock-free queues, the handle pool with its steal path and 0-alloc gate,
-# the harness churn mode, the quality replay, and the chaos checker) and
+# the harness churn mode, the quality replay, the chaos checker, the
+# socket server, and the telemetry shards' race-freedom test) and
 # the root pool-churn test and rank-error matrix (every registry queue; no
 # queue with a claimed bound may have a deletion whose definite rank
 # exceeds it, DESIGN.md §6) under the race detector, plus a short-budget
@@ -52,7 +53,7 @@ check:
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
-	$(GO) test -race ./internal/pq/ ./internal/core/ ./internal/multiq/ ./internal/skiplist/ ./internal/linden/ ./internal/spray/ ./internal/lotan/ ./internal/harness/ ./internal/quality/ ./internal/chaos/ ./internal/netpq/
+	$(GO) test -race ./internal/pq/ ./internal/core/ ./internal/multiq/ ./internal/skiplist/ ./internal/linden/ ./internal/spray/ ./internal/lotan/ ./internal/harness/ ./internal/quality/ ./internal/chaos/ ./internal/netpq/ ./internal/telemetry/
 	$(GO) test -race -run 'TestPoolChurn|TestQualityMatrix' .
 	$(MAKE) durable
 	$(GO) build -o $(SMOKE_BIN)/ ./cmd/pqbench ./cmd/pqload

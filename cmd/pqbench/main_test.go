@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"cpq/internal/telemetry"
 )
 
 // pqbench runs one command line in process.
@@ -88,6 +90,54 @@ func TestModes(t *testing.T) {
 			}
 		})
 	}
+	// -telemetry prints each queue's own algorithm counters and the
+	// sampled insert and delete-min latencies, and no line counting batch
+	// traffic, pool, socket or WAL events.
+	t.Run("telemetry", func(t *testing.T) {
+		t.Cleanup(func() {
+			telemetry.Enabled = false
+			telemetry.Reset()
+		})
+		out, errOut, code := pqbench(t, "-figure", "4a", "-queues", "klsm128,multiq-s4-b8", "-threads", "2",
+			"-batch", "8", "-duration", "5ms", "-reps", "1", "-prefill", "200", "-telemetry")
+		if code != 0 {
+			t.Fatalf("exit %d, stderr:\n%s", code, errOut)
+		}
+		if !strings.Contains(out, "\n# telemetry (") {
+			t.Fatalf("no telemetry section:\n%s", out)
+		}
+		sections := map[string][]string{} // queue → first fields of its lines
+		queue := ""
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(line)
+			switch {
+			case len(f) == 0:
+			case f[0] == "##":
+				queue = strings.TrimPrefix(f[2], "queue=")
+			case queue != "":
+				sections[queue] = append(sections[queue], f[0])
+			}
+		}
+		for q, own := range map[string][]string{
+			"klsm128":      {"cas-take-fail", "shared-run-take", "pivot-local-win", "local-merge", "local-evict"},
+			"multiq-s4-b8": {"mq-stick-reset", "mq-ins-flush", "mq-del-refill", "mq-sweep"},
+		} {
+			names := sections[q]
+			if !slices.Contains(names, "insert") || !slices.Contains(names, "delete-min") {
+				t.Errorf("%s: no insert and delete-min latency lines in %q", q, names)
+			}
+			if !slices.ContainsFunc(names, func(n string) bool { return slices.Contains(own, n) }) {
+				t.Errorf("%s: none of its counters %q in %q", q, own, names)
+			}
+			for _, name := range names {
+				for _, gone := range []string{"batch-", "pool-", "net-", "dur-"} {
+					if strings.HasPrefix(name, gone) {
+						t.Errorf("%s: unexpected counter line %q", q, name)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestGridReport runs the whole grid at tiny sizes into -out and checks the

@@ -50,8 +50,10 @@ func TestMain(m *testing.M) {
 }
 
 // spawnPQD re-execs the test binary as a pqd child and waits for its
-// listen line to learn the ephemeral address.
-func spawnPQD(t *testing.T, args ...string) (*exec.Cmd, string) {
+// listen line to learn the ephemeral address. The returned func blocks
+// until the child closes its stderr and returns every line after the
+// listen line; call it before Wait, which closes the pipe.
+func spawnPQD(t *testing.T, args ...string) (*exec.Cmd, string, func() string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), "PQD_CHILD=1", "PQD_ARGS="+strings.Join(args, "\x1f"))
@@ -63,6 +65,7 @@ func spawnPQD(t *testing.T, args ...string) (*exec.Cmd, string) {
 		t.Fatal(err)
 	}
 	addrCh := make(chan string, 1)
+	restCh := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
@@ -72,17 +75,21 @@ func spawnPQD(t *testing.T, args ...string) (*exec.Cmd, string) {
 				break
 			}
 		}
-		for sc.Scan() { // keep the pipe drained so the child never blocks on stderr
+		// Keep the pipe drained so the child never blocks on stderr.
+		var rest strings.Builder
+		for sc.Scan() {
+			rest.WriteString(sc.Text() + "\n")
 		}
+		restCh <- rest.String()
 	}()
 	select {
 	case addr := <-addrCh:
-		return cmd, addr
+		return cmd, addr, func() string { return <-restCh }
 	case <-time.After(15 * time.Second):
 		cmd.Process.Kill()
 		cmd.Wait()
 		t.Fatal("child pqd never reported its listen address")
-		return nil, ""
+		return nil, "", nil
 	}
 }
 
@@ -161,7 +168,7 @@ func TestKillRecoverConserve(t *testing.T) {
 			qid := fam + "#kill" // instance tag: exercises per-id log subdirs
 			args := []string{"-addr", "127.0.0.1:0", "-durable", durDir, "-snap-every", "100000"}
 
-			child, addr := spawnPQD(t, args...)
+			child, addr, _ := spawnPQD(t, args...)
 
 			var acked atomic.Uint64
 			logs := make([]workerLog, workers+1)
@@ -299,7 +306,7 @@ func TestKillRecoverConserve(t *testing.T) {
 			}
 
 			// Restart over the same directory and drain everything.
-			child2, addr2 := spawnPQD(t, args...)
+			child2, addr2, _ := spawnPQD(t, args...)
 			defer func() {
 				if child2.Process != nil {
 					child2.Process.Kill()

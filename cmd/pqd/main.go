@@ -22,14 +22,16 @@
 //	pqd                          # serve the full registry on 127.0.0.1:9410
 //	pqd -addr :9410 -queues klsm4096,multiq-s4-b8 -static
 //	pqd -durable /var/lib/pqd -queues linden#bids,linden#asks
-//	pqd -telemetry               # print counter table on shutdown
+//	pqd -telemetry               # print the queues' counter table on shutdown
 //
 // SIGINT/SIGTERM shut the server down gracefully: the listener closes,
 // live connections are dropped (their handles flush back), every queue
 // is closed — a durable queue takes its final snapshot and fsyncs here
-// — and the final stats line (plus the telemetry counter table with
-// -telemetry, plus any -cpuprofile/-memprofile/-trace output) goes out
-// before the process exits.
+// — and the server's final stats line goes out before the process
+// exits. With -durable one line per served queue follows it: the WAL
+// records, fsyncs and snapshots of that queue's log. -telemetry adds the
+// queue-internals counter table, and -cpuprofile/-memprofile/-trace
+// write their output last.
 package main
 
 import (
@@ -39,10 +41,13 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
+	"sync"
 	"syscall"
 
 	"cpq"
 	"cpq/internal/cli"
+	"cpq/internal/durable"
 	"cpq/internal/netpq"
 	"cpq/internal/pq"
 	"cpq/internal/telemetry"
@@ -59,7 +64,7 @@ func main() {
 		durableF = flag.String("durable", "", "write-ahead log `dir`: wrap every served queue durably, one subdirectory per queue id")
 		snapEv   = flag.Int("snap-every", 0, "durable snapshot cadence in logged ops per queue (0 = explicit/final snapshots only)")
 		segBytes = flag.Int("seg-bytes", 0, "durable WAL segment size in bytes (0 = default 1 MiB; also the preallocation unit)")
-		telemF   = flag.Bool("telemetry", false, "collect queue-internals counters; print the table on shutdown (DESIGN.md §5, §7)")
+		telemF   = flag.Bool("telemetry", false, "collect queue-internals counters; print the table on shutdown (DESIGN.md §5)")
 		prof     = cli.NewProfiler(flag.CommandLine)
 	)
 	flag.Parse()
@@ -78,6 +83,10 @@ func main() {
 		}
 	}
 
+	// The durable queue behind each served id, for the WAL lines printed
+	// at shutdown.
+	var walMu sync.Mutex
+	wals := make(map[string]*durable.Queue)
 	opts := netpq.Options{
 		NewQueue: func(spec, id string, handles int) (pq.Queue, error) {
 			if *threads > 0 {
@@ -94,7 +103,13 @@ func main() {
 					SegmentBytes:  *segBytes,
 				}
 			}
-			return cpq.NewQueue(spec, o)
+			q, err := cpq.NewQueue(spec, o)
+			if dq, ok := q.(*durable.Queue); ok {
+				walMu.Lock()
+				wals[id] = dq
+				walMu.Unlock()
+			}
+			return q, err
 		},
 		DefaultQueue: *defQ,
 		Preload:      cli.ParseList(*preloadF),
@@ -140,6 +155,9 @@ func main() {
 		"pqd: conns=%d frames in/out=%d/%d items in/out=%d/%d stalls=%d drops=%d\n",
 		st.ConnsOpened, st.FramesIn, st.FramesOut, st.ItemsIn, st.ItemsOut,
 		st.WriteStalls, st.Drops)
+	walMu.Lock()
+	printWALStats(wals)
+	walMu.Unlock()
 	if *telemF {
 		printTelemetry(telemetry.Capture())
 	}
@@ -149,8 +167,24 @@ func main() {
 	}
 }
 
+// printWALStats writes one line per durable queue, in id order, with its
+// log's work since startup. It runs after CloseQueues, so the counts
+// include each queue's final snapshot.
+func printWALStats(wals map[string]*durable.Queue) {
+	ids := make([]string, 0, len(wals))
+	for id := range wals {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		ws := wals[id].Stats()
+		fmt.Fprintf(os.Stderr, "pqd: wal %s: records=%d fsyncs=%d snapshots=%d\n",
+			id, ws.Records, ws.Fsyncs, ws.Snapshots)
+	}
+}
+
 // printTelemetry writes the nonzero counters in the pqbench table format:
-// the socket counters (net-*) plus whatever the served queues incremented.
+// whatever the served queues incremented.
 func printTelemetry(snap telemetry.Snapshot) {
 	if snap.Zero() {
 		fmt.Fprintln(os.Stderr, "pqd: telemetry: no events recorded")

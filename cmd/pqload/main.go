@@ -24,8 +24,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -45,61 +47,130 @@ import (
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", "", "pqd server address (empty = self-host an in-process loopback server)")
-		queuesF    = flag.String("queues", "multiq-s4-b8,klsm4096", "queue specs to measure (fig-4a cell queues)")
-		conns      = flag.Int("conns", 8, "client connections (the socket analogue of worker threads)")
-		batch      = flag.Int("batch", 8, "ops per request frame (InsertN/DeleteMinN width)")
-		pipeline   = flag.Int("pipeline", 32, "requests kept in flight per connection (half the window is drained per refill, so depth amortizes write syscalls)")
-		duration   = flag.Duration("duration", time.Second, "measurement duration per rep")
-		reps       = flag.Int("reps", 3, "repetitions per cell (interleaved across queues)")
-		prefill    = flag.Int("prefill", 100_000, "items inserted through the socket before measuring")
-		workloadF  = flag.String("workload", "uniform", "operation mix: uniform, split, alternating")
-		keysF      = flag.String("keys", "uniform", "key distribution: uniform32/16/8, ascending, descending, holdasc, holddesc")
-		insertFrac = flag.Float64("insert-frac", 0.5, "insert probability for the uniform workload")
-		seed       = flag.Uint64("seed", 0, "base RNG seed (0 = default)")
-		smoke      = flag.Bool("smoke", false, "CI smoke: tiny budget, one rep, nonzero-ops gate")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the measured loops")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *smoke {
-		*duration, *reps, *prefill, *conns = 300*time.Millisecond, 1, 2000, 4
-		*queuesF = "multiq-s4-b8"
+// errShown is a usage error the flag set has already printed.
+var errShown = errors.New("usage error")
+
+// options is one parsed command line.
+type options struct {
+	addr       string
+	queues     []string
+	conns      int
+	batch      int
+	pipeline   int
+	duration   time.Duration
+	reps       int
+	prefill    int
+	workload   workload.Kind
+	keys       keys.Distribution
+	seed       uint64
+	smoke      bool
+	cpuprofile string
+}
+
+// parse reads a command line and checks every value before any server is
+// dialled or started.
+func parse(args []string, stderr io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("pqload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		o         options
+		queuesF   string
+		workloadF string
+		keysF     string
+	)
+	fs.StringVar(&o.addr, "addr", "", "pqd server address (empty = self-host an in-process loopback server)")
+	fs.StringVar(&queuesF, "queues", "multiq-s4-b8,klsm4096", "queue specs to measure (fig-4a cell queues)")
+	fs.IntVar(&o.conns, "conns", 8, "client connections (the socket analogue of worker threads)")
+	fs.IntVar(&o.batch, "batch", 8, fmt.Sprintf("ops per request frame (InsertN/DeleteMinN width, 1..%d)", netpq.MaxBatch))
+	fs.IntVar(&o.pipeline, "pipeline", 32, "requests kept in flight per connection (half the window is drained per refill, so depth amortizes write syscalls)")
+	fs.DurationVar(&o.duration, "duration", time.Second, "measurement duration per rep")
+	fs.IntVar(&o.reps, "reps", 3, "repetitions per cell (interleaved across queues)")
+	fs.IntVar(&o.prefill, "prefill", 100_000, "items inserted through the socket before measuring")
+	fs.StringVar(&workloadF, "workload", "uniform", "operation mix: uniform, split, alternating")
+	fs.StringVar(&keysF, "keys", "uniform", "key distribution: uniform32/16/8, ascending, descending, holdasc, holddesc")
+	fs.Uint64Var(&o.seed, "seed", 0, "base RNG seed (0 = default)")
+	fs.BoolVar(&o.smoke, "smoke", false, "CI smoke: tiny budget, one rep, nonzero-ops gate")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the measured loops")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, err
+		}
+		return nil, errShown
 	}
-	queueSpecs, err := cli.ParseQueues(*queuesF, nil)
-	if err == nil {
-		err = cli.CheckBatch("batch", *batch)
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pqload:", err)
-		os.Exit(2)
+	if o.smoke {
+		o.duration, o.reps, o.prefill, o.conns = 300*time.Millisecond, 1, 2000, 4
+		queuesF = "multiq-s4-b8"
 	}
-	if *batch > netpq.MaxBatch {
-		fmt.Fprintf(os.Stderr, "pqload: batch %d above protocol max %d\n", *batch, netpq.MaxBatch)
-		os.Exit(1)
+	var err error
+	if o.queues, err = cli.ParseQueues(queuesF, nil); err != nil {
+		return nil, err
 	}
-	if *conns < 1 || *pipeline < 1 {
-		fmt.Fprintln(os.Stderr, "pqload: -conns and -pipeline must be >= 1")
-		os.Exit(1)
+	if o.batch < 1 || o.batch > netpq.MaxBatch {
+		return nil, fmt.Errorf("invalid -batch %d (want 1..%d, the protocol's frame cap)", o.batch, netpq.MaxBatch)
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		exitOn(err)
-		exitOn(pprof.StartCPUProfile(f))
+	if o.conns < 1 || o.pipeline < 1 {
+		return nil, errors.New("-conns and -pipeline must be >= 1")
+	}
+	if o.workload, err = workload.Parse(workloadF); err != nil {
+		return nil, err
+	}
+	if o.keys, err = keys.Parse(keysF); err != nil {
+		return nil, err
+	}
+	return &o, nil
+}
+
+// run executes one command line and returns its exit status: 2 for a
+// usage error, 1 for a runtime failure (dial, server error, I/O), 0
+// otherwise.
+func run(args []string, stdout, stderr io.Writer) int {
+	o, err := parse(args, stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		if err != errShown {
+			fmt.Fprintln(stderr, "pqload:", err)
+		}
+		return 2
+	}
+	if err := measure(o, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "pqload:", err)
+		return 1
+	}
+	return 0
+}
+
+// measure runs every (rep, queue) cell against the server and prints the
+// table.
+func measure(o *options, stdout, stderr io.Writer) error {
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
 		defer pprof.StopCPUProfile()
 	}
-	wkind, err := workload.Parse(*workloadF)
-	exitOn(err)
-	kdist, err := keys.Parse(*keysF)
-	exitOn(err)
 
-	target := *addr
+	target := o.addr
 	if target == "" {
-		srv, ln := selfHost()
+		srv, ln, err := selfHost()
+		if err != nil {
+			return err
+		}
 		defer srv.Close()
 		target = ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "pqload: self-hosted pqd on %s\n", target)
+		fmt.Fprintf(stderr, "pqload: self-hosted pqd on %s\n", target)
 	}
 
 	mops := map[string][]float64{}
@@ -107,21 +178,24 @@ func main() {
 	ops := map[string]uint64{}
 	var rtts = map[string][]float64{} // sampled request latencies, µs
 
-	for rep := 0; rep < *reps; rep++ {
-		for _, spec := range queueSpecs {
+	for rep := 0; rep < o.reps; rep++ {
+		for _, spec := range o.queues {
 			// A fresh instance per (spec, rep): reps must not inherit the
 			// previous rep's surviving items.
 			queueID := fmt.Sprintf("%s#rep%d", spec, rep)
 			var m0, m1 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&m0)
-			res := runCell(cellConfig{
+			res, err := runCell(cellConfig{
 				addr: target, queueID: queueID,
-				conns: *conns, batch: *batch, pipeline: *pipeline,
-				duration: *duration, prefill: *prefill,
-				workload: wkind, keyDist: kdist, insertFrac: *insertFrac,
-				seed: *seed + uint64(rep),
+				conns: o.conns, batch: o.batch, pipeline: o.pipeline,
+				duration: o.duration, prefill: o.prefill,
+				workload: o.workload, keyDist: o.keys,
+				seed: o.seed + uint64(rep),
 			})
+			if err != nil {
+				return err
+			}
 			runtime.ReadMemStats(&m1)
 			mops[spec] = append(mops[spec], res.mops)
 			if res.ops > 0 {
@@ -129,17 +203,17 @@ func main() {
 			}
 			ops[spec] += res.ops
 			rtts[spec] = append(rtts[spec], res.rttUS...)
-			fmt.Fprintf(os.Stderr, "pqload: rep %d/%d net:%s conns=%d batch=%d: %.3f MOps/s\n",
-				rep+1, *reps, spec, *conns, *batch, res.mops)
+			fmt.Fprintf(stderr, "pqload: rep %d/%d net:%s conns=%d batch=%d: %.3f MOps/s\n",
+				rep+1, o.reps, spec, o.conns, o.batch, res.mops)
 		}
 	}
 
-	fmt.Printf("# net addr=%s conns=%d batch=%d pipeline=%d workload=%s keys=%s prefill=%d duration=%v reps=%d\n",
-		target, *conns, *batch, *pipeline, wkind, kdist, *prefill, *duration, *reps)
+	fmt.Fprintf(stdout, "# net addr=%s conns=%d batch=%d pipeline=%d workload=%s keys=%s prefill=%d duration=%v reps=%d\n",
+		target, o.conns, o.batch, o.pipeline, o.workload, o.keys, o.prefill, o.duration, o.reps)
 	var table cli.Table
 	table.AddRow("queue", "MOps/s", "allocs/op", "rtt_p50_us", "rtt_p99_us")
 	var total uint64
-	for _, spec := range queueSpecs {
+	for _, spec := range o.queues {
 		s := stats.Summarize(mops[spec])
 		var a float64
 		if as := allocs[spec]; len(as) > 0 {
@@ -150,30 +224,34 @@ func main() {
 			fmt.Sprintf("%.3f", a), fmt.Sprintf("%.0f", p50), fmt.Sprintf("%.0f", p99))
 		total += ops[spec]
 	}
-	fmt.Print(table.String())
-	fmt.Println("# MOps/s mean ±95% CI over reps; allocs/op counts the whole process (client and server when self-hosted); rtt is sampled request latency through the pipeline")
+	fmt.Fprint(stdout, table.String())
+	fmt.Fprintln(stdout, "# MOps/s mean ±95% CI over reps; allocs/op counts the whole process (client and server when self-hosted); rtt is sampled request latency through the pipeline")
 
 	// Smoke gate: the whole point of `make pqd-smoke` is that a built
 	// server, a built client and a real socket moved a nonzero number of
 	// operations end to end.
-	if *smoke && total == 0 {
-		fmt.Fprintln(os.Stderr, "pqload: smoke moved zero ops")
-		os.Exit(1)
+	if o.smoke && total == 0 {
+		return errors.New("smoke moved zero ops")
 	}
+	return nil
 }
 
 // selfHost starts an in-process pqd server on an ephemeral loopback port.
-func selfHost() (*netpq.Server, net.Listener) {
+func selfHost() (*netpq.Server, net.Listener, error) {
 	srv, err := netpq.NewServer(netpq.Options{
 		NewQueue: func(spec, _ string, handles int) (pq.Queue, error) {
 			return cpq.NewQueue(spec, cpq.Options{Threads: handles})
 		},
 	})
-	exitOn(err)
+	if err != nil {
+		return nil, nil, err
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	exitOn(err)
+	if err != nil {
+		return nil, nil, err
+	}
 	go srv.Serve(ln)
-	return srv, ln
+	return srv, ln, nil
 }
 
 // cellConfig is one (queue instance, rep) measurement.
@@ -184,7 +262,6 @@ type cellConfig struct {
 	prefill                int
 	workload               workload.Kind
 	keyDist                keys.Distribution
-	insertFrac             float64
 	seed                   uint64
 }
 
@@ -196,12 +273,15 @@ type cellResultRaw struct {
 
 // runCell prefills the queue instance through one connection, then runs
 // conns workers of pipelined batched requests for the configured
-// duration and returns completed ops and sampled request latencies.
-func runCell(cfg cellConfig) cellResultRaw {
+// duration and returns completed ops and sampled request latencies. The
+// first connection failure is the cell's error.
+func runCell(cfg cellConfig) (cellResultRaw, error) {
 	// Prefill through the socket: the servers sees exactly what a real
 	// client population would have inserted.
 	pc, err := netpq.Dial(cfg.addr, cfg.queueID)
-	exitOn(err)
+	if err != nil {
+		return cellResultRaw{}, err
+	}
 	pg := keys.NewGenerator(cfg.keyDist, rng.New(cfg.seed^0x9e3779b97f4a7c15))
 	kvs := make([]pq.KV, 0, netpq.MaxBatch)
 	for left := cfg.prefill; left > 0; {
@@ -213,7 +293,10 @@ func runCell(cfg cellConfig) cellResultRaw {
 		for i := 0; i < n; i++ {
 			kvs = append(kvs, pq.KV{Key: pg.Next(), Value: uint64(i)})
 		}
-		exitOn(pc.InsertN(kvs))
+		if err := pc.InsertN(kvs); err != nil {
+			pc.Close()
+			return cellResultRaw{}, err
+		}
 		left -= n
 	}
 	pc.Close()
@@ -223,6 +306,7 @@ func runCell(cfg cellConfig) cellResultRaw {
 		mu       sync.Mutex
 		totalOps uint64
 		rttUS    []float64
+		firstErr error
 	)
 	start := time.Now()
 	deadline := start.Add(cfg.duration)
@@ -230,10 +314,13 @@ func runCell(cfg cellConfig) cellResultRaw {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ops, lats := runWorker(cfg, w, deadline)
+			ops, lats, err := runWorker(cfg, w, deadline)
 			mu.Lock()
 			totalOps += ops
 			rttUS = append(rttUS, lats...)
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
 			mu.Unlock()
 		}(w)
 	}
@@ -243,23 +330,26 @@ func runCell(cfg cellConfig) cellResultRaw {
 		ops:   totalOps,
 		mops:  float64(totalOps) / 1e6 / elapsed.Seconds(),
 		rttUS: rttUS,
-	}
+	}, firstErr
 }
 
 // runWorker is one connection's measured loop: choose an op per batch
 // from the workload policy, keep cfg.pipeline request frames in flight,
 // count each completed frame as batch ops (harness accounting). Request
 // latency is sampled every rttSampleEvery completions, timed from the
-// frame's enqueue to its (FIFO-ordered) response.
-func runWorker(cfg cellConfig, w int, deadline time.Time) (ops uint64, rttUS []float64) {
+// frame's enqueue to its (FIFO-ordered) response. A connection or server
+// error ends the loop.
+func runWorker(cfg cellConfig, w int, deadline time.Time) (ops uint64, rttUS []float64, err error) {
 	const rttSampleEvery = 64
 
 	c, err := netpq.Dial(cfg.addr, cfg.queueID)
-	exitOn(err)
+	if err != nil {
+		return 0, nil, err
+	}
 	defer c.Close()
 
 	r := rng.New(cfg.seed + uint64(w)*0x6a09e667f3bcc909)
-	policy := workload.ForWorker(cfg.workload, w, cfg.conns, cfg.insertFrac, r)
+	policy := workload.ForWorker(cfg.workload, w, cfg.conns, 0.5, r)
 	gen := keys.NewGenerator(cfg.keyDist, r)
 	kvs := make([]pq.KV, cfg.batch)
 
@@ -269,7 +359,7 @@ func runWorker(cfg cellConfig, w int, deadline time.Time) (ops uint64, rttUS []f
 	head, tail, inFlight := 0, 0, 0
 	sent, done := 0, 0
 
-	issue := func() bool {
+	issue := func() error {
 		var err error
 		if policy.Next() == workload.Insert {
 			for i := range kvs {
@@ -279,18 +369,22 @@ func runWorker(cfg cellConfig, w int, deadline time.Time) (ops uint64, rttUS []f
 		} else {
 			_, err = c.StartDeleteMinN(cfg.batch)
 		}
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		sendTimes[tail] = time.Now()
 		tail = (tail + 1) % cfg.pipeline
 		sent++
 		inFlight++
-		return true
+		return nil
 	}
-	recvOne := func() {
+	recvOne := func() error {
 		resp, err := c.Recv()
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		if resp.Err != nil {
-			exitOn(fmt.Errorf("net:%s: %w", cfg.queueID, resp.Err))
+			return fmt.Errorf("net:%s: %w", cfg.queueID, resp.Err)
 		}
 		t0 := sendTimes[head]
 		head = (head + 1) % cfg.pipeline
@@ -305,6 +399,7 @@ func runWorker(cfg cellConfig, w int, deadline time.Time) (ops uint64, rttUS []f
 		if len(resp.KVs) > 0 {
 			gen.Observe(resp.KVs[len(resp.KVs)-1].Key)
 		}
+		return nil
 	}
 
 	// Issue a full window, then drain half of it before refilling: the
@@ -315,16 +410,22 @@ func runWorker(cfg cellConfig, w int, deadline time.Time) (ops uint64, rttUS []f
 	low := cfg.pipeline / 2
 	for time.Now().Before(deadline) {
 		for inFlight < cfg.pipeline {
-			issue()
+			if err := issue(); err != nil {
+				return ops, rttUS, err
+			}
 		}
 		for inFlight > low {
-			recvOne()
+			if err := recvOne(); err != nil {
+				return ops, rttUS, err
+			}
 		}
 	}
 	for inFlight > 0 {
-		recvOne()
+		if err := recvOne(); err != nil {
+			return ops, rttUS, err
+		}
 	}
-	return ops, rttUS
+	return ops, rttUS, nil
 }
 
 // percentiles returns the p50 and p99 of xs in place-sorted order; zeros
@@ -339,11 +440,4 @@ func percentiles(xs []float64) (p50, p99 float64) {
 		return xs[i]
 	}
 	return at(0.50), at(0.99)
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pqload:", err)
-		os.Exit(1)
-	}
 }

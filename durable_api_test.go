@@ -108,7 +108,12 @@ func TestCloseIsNilSafeEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := cpq.NewPool(q, cpq.PoolOptions{InitialHandles: 2})
+	p := cpq.NewPool(q, cpq.PoolOptions{})
+	// Warm the pool with two handles, so Close finds one in a shard slot
+	// and one on the overflow stack.
+	h1, h2 := p.Acquire(), p.Acquire()
+	p.Release(h1)
+	p.Release(h2)
 	h := p.Acquire()
 	h.Insert(7, 7)
 	p.Release(h)

@@ -58,8 +58,6 @@ func (h *Handle) InsertN(kvs []pq.KV) {
 		evicted = l.evictLargestLocked()
 	}
 	l.mu.Unlock()
-	h.tel.Add(telemetry.BatchInsertItems, uint64(n))
-	h.tel.ObserveBatchWidth(n)
 	if len(evicted) > 0 {
 		h.tel.Inc(telemetry.LocalEvict)
 		// The batch's single CAS publish; chaos can force a mid-batch loss
@@ -134,8 +132,6 @@ func (h *Handle) DeleteMinN(dst []pq.KV, n int) int {
 		run := h.q.slsm.takeRun(h.rng, ^uint64(0), h.srun[:0], sharedRunMax, h.tel)
 		if len(run) == 0 {
 			// Queue appeared empty mid-batch: return the short count.
-			h.tel.Add(telemetry.BatchDeleteItems, uint64(got))
-			h.tel.ObserveBatchWidth(got)
 			return got
 		}
 		h.tel.Inc(telemetry.SharedRunTake)
@@ -144,8 +140,6 @@ func (h *Handle) DeleteMinN(dst []pq.KV, n int) int {
 		h.srunPos, h.srunEnd = 0, len(run)
 	}
 	l.mu.Unlock()
-	h.tel.Add(telemetry.BatchDeleteItems, uint64(got))
-	h.tel.ObserveBatchWidth(got)
 	return got
 }
 
@@ -168,8 +162,6 @@ func (h *slsmHandle) InsertN(kvs []pq.KV) {
 	}
 	sortItems(items)
 	h.q.s.insertBatchFP(items, h.tel, chaos.BatchPublish)
-	h.tel.Add(telemetry.BatchInsertItems, uint64(n))
-	h.tel.ObserveBatchWidth(n)
 }
 
 // DeleteMinN implements pq.BatchDeleter for the standalone SLSM: pivot
@@ -196,7 +188,5 @@ func (h *slsmHandle) DeleteMinN(dst []pq.KV, n int) int {
 		clear(run) // drop item pointers so the scratch cannot pin slabs
 		h.drain = run[:0]
 	}
-	h.tel.Add(telemetry.BatchDeleteItems, uint64(got))
-	h.tel.ObserveBatchWidth(got)
 	return got
 }

@@ -7,7 +7,6 @@ import (
 
 	"cpq/internal/durable/kv"
 	"cpq/internal/pq"
-	"cpq/internal/telemetry"
 )
 
 // Options configures a durable wrapper.
@@ -29,7 +28,7 @@ type Options struct {
 	SegmentBytes int
 }
 
-// Stats is a telemetry-independent view of the log's work.
+// Stats counts the log's work.
 type Stats struct {
 	Records   uint64 // WAL records appended
 	Fsyncs    uint64 // durability barriers issued
@@ -57,7 +56,6 @@ type Queue struct {
 	store     kv.Store
 	ownStore  bool
 	w         *wal
-	tel       *telemetry.Shard
 	snapEvery int
 
 	mu        sync.Mutex // the op mutex: inner op + WAL append, never the fsync
@@ -117,14 +115,12 @@ func Wrap(inner pq.Queue, opts Options) (*Queue, error) {
 		return nil, fmt.Errorf("durable: recover: %w", err)
 	}
 
-	tel := telemetry.NewShard()
 	q := &Queue{
 		inner:     inner,
 		name:      "dur:" + inner.Name(),
 		store:     store,
 		ownStore:  own,
-		w:         newWAL(store, st.nextSeg, opts.SegmentBytes, tel),
-		tel:       tel,
+		w:         newWAL(store, st.nextSeg, opts.SegmentBytes),
 		snapEvery: opts.SnapshotEvery,
 		h:         inner.Handle(),
 		nextSnap:  st.nextSnap,
@@ -132,9 +128,6 @@ func Wrap(inner pq.Queue, opts Options) (*Queue, error) {
 		baseSeg:   st.nextSeg,
 	}
 	if len(st.items) > 0 {
-		if telemetry.Enabled {
-			tel.Add(telemetry.DurReplayItems, uint64(len(st.items)))
-		}
 		// InsertN may reorder its slice, and st.items is the snapshot
 		// base, so the rebuild goes through one reused copy: InsertN
 		// never retains the slice it is given.
@@ -175,10 +168,6 @@ func (q *Queue) Stats() Stats {
 		Snapshots: q.snapshots.Load(),
 	}
 }
-
-// Telemetry exposes the wrapper's counter shard so harnesses can merge it
-// into their tables.
-func (q *Queue) Telemetry() *telemetry.Shard { return q.tel }
 
 // insertN applies and logs an insert batch; returns the LSN to wait on.
 func (q *Queue) insertN(kvs []pq.KV) (uint64, bool) {

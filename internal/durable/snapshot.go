@@ -9,7 +9,6 @@ import (
 
 	"cpq/internal/chaos"
 	"cpq/internal/durable/kv"
-	"cpq/internal/telemetry"
 )
 
 // Concurrent incremental snapshots (DESIGN.md §8c).
@@ -140,9 +139,6 @@ func (q *Queue) takeSnapshot() {
 			q.poison(err)
 			return
 		}
-		if telemetry.Enabled {
-			q.tel.Inc(telemetry.DurSnapChunk)
-		}
 		if off == 0 {
 			q.snapPhase(SnapChunk)
 		}
@@ -198,9 +194,6 @@ func (q *Queue) takeSnapshot() {
 	}
 	q.nextSnap = snapIdx + 1
 	q.snapshots.Add(1)
-	if telemetry.Enabled {
-		q.tel.Inc(telemetry.DurSnapshot)
-	}
 }
 
 // snapPhase fires the test hook, if installed.

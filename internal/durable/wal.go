@@ -22,7 +22,6 @@ import (
 	"cpq/internal/chaos"
 	"cpq/internal/durable/kv"
 	"cpq/internal/pq"
-	"cpq/internal/telemetry"
 )
 
 // WAL record format (DESIGN.md §8a). All integers big-endian:
@@ -149,7 +148,6 @@ func segKey(i uint64) string { return fmt.Sprintf("wal/%016x", i) }
 // allocation-free at steady state.
 type wal struct {
 	store kv.Store
-	tel   *telemetry.Shard
 
 	// segBytes triggers rotation to a fresh segment once the current one
 	// has at least this many synced bytes.
@@ -173,13 +171,12 @@ type wal struct {
 	segSize  int    // bytes written to the current segment
 	err      error  // sticky: first store failure poisons the log
 
-	fsyncs atomic.Uint64 // barriers issued; telemetry-independent Stats feed
+	fsyncs atomic.Uint64 // barriers issued; the Stats feed
 }
 
-func newWAL(store kv.Store, startSeg uint64, segBytes int, tel *telemetry.Shard) *wal {
+func newWAL(store kv.Store, startSeg uint64, segBytes int) *wal {
 	w := &wal{
 		store:    store,
-		tel:      tel,
 		segBytes: segBytes,
 		pending:  make([]byte, 0, 4096),
 		spare:    make([]byte, 0, 4096),
@@ -200,18 +197,13 @@ func (w *wal) append(kind byte, kvs []pq.KV) uint64 {
 	w.appended++
 	lsn := w.appended
 	w.mu.Unlock()
-	if telemetry.Enabled {
-		w.tel.Inc(telemetry.DurWALAppend)
-	}
 	return lsn
 }
 
 // commitWait blocks until the record at lsn is durable. The first caller
 // to find no leader becomes one: it claims the pending buffer, writes and
-// syncs it, then wakes everyone whose records it covered. Callers whose
-// records were made durable by someone else's sync count as group joins.
+// syncs it, then wakes everyone whose records it covered.
 func (w *wal) commitWait(lsn uint64) error {
-	ledOnce := false
 	w.mu.Lock()
 	for w.synced < lsn && w.err == nil {
 		if w.leading {
@@ -235,7 +227,6 @@ func (w *wal) commitWait(lsn uint64) error {
 		w.mu.Unlock()
 
 		err := w.sync(buf)
-		ledOnce = true
 
 		w.mu.Lock()
 		w.spare = buf[:0]
@@ -253,13 +244,7 @@ func (w *wal) commitWait(lsn uint64) error {
 	}
 	err := w.err
 	w.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if !ledOnce && telemetry.Enabled {
-		w.tel.Inc(telemetry.DurGroupJoin)
-	}
-	return nil
+	return err
 }
 
 // sync writes buf to the current segment and makes it durable. Runs
@@ -278,9 +263,6 @@ func (w *wal) sync(buf []byte) error {
 		return err
 	}
 	w.fsyncs.Add(1)
-	if telemetry.Enabled {
-		w.tel.Inc(telemetry.DurFsync)
-	}
 	return nil
 }
 

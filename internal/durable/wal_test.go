@@ -8,7 +8,6 @@ import (
 	"cpq/internal/durable/kv"
 	"cpq/internal/pq"
 	"cpq/internal/rng"
-	"cpq/internal/telemetry"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -139,10 +138,7 @@ func FuzzWALDecode(f *testing.F) {
 // allocs/op: encoding a record into the pending buffer reuses the same
 // two recycled buffers forever once they reach steady size.
 func TestAppendPathAllocs(t *testing.T) {
-	if telemetry.Enabled {
-		t.Skip("telemetry build flag changes the path under test")
-	}
-	w := newWAL(kv.NewInmem(), 0, 1<<20, telemetry.NewShard())
+	w := newWAL(kv.NewInmem(), 0, 1<<20)
 	kvs := []pq.KV{{Key: 1, Value: 2}, {Key: 3, Value: 4}}
 	// Warm the buffer to steady-state capacity.
 	for i := 0; i < 64; i++ {

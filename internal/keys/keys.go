@@ -17,7 +17,6 @@ package keys
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"cpq/internal/rng"
@@ -181,14 +180,6 @@ func (g *Generator) Fill(n int) []uint64 {
 	for i := range out {
 		out[i] = g.Next()
 	}
-	return out
-}
-
-// SortedFill generates n keys and returns them sorted ascending. Useful for
-// constructing LSM blocks and test fixtures.
-func (g *Generator) SortedFill(n int) []uint64 {
-	out := g.Fill(n)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

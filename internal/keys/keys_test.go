@@ -1,7 +1,6 @@
 package keys
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -152,16 +151,6 @@ func TestOpsCounter(t *testing.T) {
 	u.Fill(10)
 	if u.Ops() != 0 {
 		t.Fatalf("uniform generator advanced op counter to %d", u.Ops())
-	}
-}
-
-func TestSortedFillSorted(t *testing.T) {
-	for _, d := range All() {
-		g := gen(d, 8)
-		ks := g.SortedFill(1000)
-		if !sort.SliceIsSorted(ks, func(i, j int) bool { return ks[i] < ks[j] }) {
-			t.Fatalf("%v: SortedFill not sorted", d)
-		}
 	}
 }
 

@@ -38,8 +38,6 @@ func (h *Handle) InsertN(kvs []pq.KV) {
 	if retries > 0 {
 		h.tel.Add(telemetry.LindenSpliceRetry, retries)
 	}
-	h.tel.Add(telemetry.BatchInsertItems, uint64(n))
-	h.tel.ObserveBatchWidth(n)
 }
 
 // DeleteMinN implements pq.BatchDeleter: one dead-prefix walk claims up to
@@ -83,7 +81,5 @@ func (h *Handle) DeleteMinN(dst []pq.KV, n int) int {
 	if offset >= q.boundOffset {
 		h.restructure()
 	}
-	h.tel.Add(telemetry.BatchDeleteItems, uint64(got))
-	h.tel.ObserveBatchWidth(got)
 	return got
 }

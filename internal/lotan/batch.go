@@ -19,14 +19,11 @@ var _ pq.BatchDeleter = (*Handle)(nil)
 // InsertN implements pq.BatchInserter. The batch is sorted ascending in
 // place (caller-owned per the contract) and spliced as a run.
 func (h *Handle) InsertN(kvs []pq.KV) {
-	n := len(kvs)
-	if n == 0 {
+	if len(kvs) == 0 {
 		return
 	}
 	pq.SortKVs(kvs)
 	h.sh.InsertRun(kvs, h.rng)
-	h.tel.Add(telemetry.BatchInsertItems, uint64(n))
-	h.tel.ObserveBatchWidth(n)
 }
 
 // DeleteMinN implements pq.BatchDeleter: one bottom-level scan from the
@@ -64,7 +61,5 @@ func (h *Handle) DeleteMinN(dst []pq.KV, n int) int {
 	if fails > 0 {
 		h.tel.Add(telemetry.LotanClaimFail, fails)
 	}
-	h.tel.Add(telemetry.BatchDeleteItems, uint64(got))
-	h.tel.ObserveBatchWidth(got)
 	return got
 }

@@ -24,15 +24,12 @@ var _ pq.BatchDeleter = (*Handle)(nil)
 // in the scalar insert) publishes the whole batch to a uniformly random
 // sub-queue.
 func (h *Handle) InsertN(kvs []pq.KV) {
-	n := len(kvs)
-	if n == 0 {
+	if len(kvs) == 0 {
 		return
 	}
 	_, s := lockAny(h.q.queues(), h.rng)
 	s.push(kvs)
 	s.mu.Unlock()
-	h.tel.Add(telemetry.BatchInsertItems, uint64(n))
-	h.tel.ObserveBatchWidth(n)
 }
 
 // DeleteMinN implements pq.BatchDeleter: each min-of-two sample that wins
@@ -77,8 +74,6 @@ func (h *Handle) DeleteMinN(dst []pq.KV, n int) int {
 			got++
 		}
 	}
-	h.tel.Add(telemetry.BatchDeleteItems, uint64(got))
-	h.tel.ObserveBatchWidth(got)
 	return got
 }
 
@@ -125,8 +120,6 @@ func (h *EHandle) InsertN(kvs []pq.KV) {
 		}
 	}
 	h.mu.Unlock()
-	h.tel.Add(telemetry.BatchInsertItems, uint64(n))
-	h.tel.ObserveBatchWidth(n)
 }
 
 // DeleteMinN implements pq.BatchDeleter: the deletion buffer (with the
@@ -169,8 +162,6 @@ func (h *EHandle) DeleteMinN(dst []pq.KV, n int) int {
 		h.mu.Unlock()
 		k, v, ok := h.sweepBuffered()
 		if !ok {
-			h.tel.Add(telemetry.BatchDeleteItems, uint64(got))
-			h.tel.ObserveBatchWidth(got)
 			return got
 		}
 		dst[got] = pq.KV{Key: k, Value: v}
@@ -178,7 +169,5 @@ func (h *EHandle) DeleteMinN(dst []pq.KV, n int) int {
 		h.mu.Lock()
 	}
 	h.mu.Unlock()
-	h.tel.Add(telemetry.BatchDeleteItems, uint64(got))
-	h.tel.ObserveBatchWidth(got)
 	return got
 }

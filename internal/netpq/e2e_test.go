@@ -19,7 +19,6 @@ import (
 	"cpq"
 	"cpq/internal/netpq"
 	"cpq/internal/pq"
-	"cpq/internal/telemetry"
 )
 
 func newLoopbackServer(t *testing.T, opts netpq.Options) (*netpq.Server, string) {
@@ -372,12 +371,9 @@ func (c readCountingConn) Read(p []byte) (int, error) {
 // TestServerReadsPipelinedBurstAtOnce pins the server's read path: a
 // pipelined burst of request frames that arrives in one client write is
 // read off the socket in one call, not one or more calls per frame, and
-// the net-read counter reports exactly the reads the socket saw.
+// the server's Stats count every frame it read.
 func TestServerReadsPipelinedBurstAtOnce(t *testing.T) {
 	const frames = 64
-	telemetry.Enabled = true
-	telemetry.Reset()
-	defer func() { telemetry.Enabled = false; telemetry.Reset() }()
 
 	srv, err := netpq.NewServer(netpq.Options{
 		DefaultQueue: "multiq-s4-b8",
@@ -426,19 +422,15 @@ func TestServerReadsPipelinedBurstAtOnce(t *testing.T) {
 	if burstReads > frames/8 {
 		t.Fatalf("server read the %d-frame burst in %d calls, want at most %d", frames, burstReads, frames/8)
 	}
-	snap := telemetry.Capture()
-	if got, want := snap.Counts[telemetry.NetRead], uint64(reads.Load()); got != want {
-		t.Fatalf("net-read = %d, socket saw %d reads", got, want)
-	}
-	if got := snap.Counts[telemetry.NetFrameIn]; got != frames+1 {
-		t.Fatalf("net-frame-in = %d, want %d", got, frames+1)
+	if got := srv.Stats().FramesIn; got != frames+1 {
+		t.Fatalf("FramesIn = %d, want %d", got, frames+1)
 	}
 	t.Logf("%d reads for %d frames", burstReads, frames)
 }
 
 // TestSlowConsumerEviction pins the backpressure failure mode: a client
 // that sends requests but never reads responses must eventually be
-// evicted (net-drop), not anchor server memory forever. Small responses
+// evicted (Stats.Drops), not anchor server memory forever. Small responses
 // can drip through the jammed socket as the kernel frees bytes, so the
 // pump requests max-batch deletes of a prefilled queue: a burst of 16 KiB
 // response frames cannot complete through a zero-window trickle, so its

@@ -14,9 +14,9 @@
 //     between executing a request and writing its response.
 //   - Backpressure with a defined failure mode: while a write waits for
 //     the client to drain its socket the loop reads nothing, so TCP flow
-//     control pushes back on the client (net-write-stall); a write still
-//     unfinished after StallTimeout evicts the connection (net-drop)
-//     instead of anchoring server memory forever.
+//     control pushes back on the client (Stats.WriteStalls); a write
+//     still unfinished after StallTimeout evicts the connection
+//     (Stats.Drops) instead of anchoring server memory forever.
 //
 // Handle lifecycle: one inner handle per connection, acquired from the
 // served queue's pool at Hello and released on disconnect. Release
@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"cpq/internal/pq"
-	"cpq/internal/telemetry"
 )
 
 // NewQueueFunc constructs a registry queue. spec is the registry string
@@ -97,7 +96,7 @@ type servedQueue struct {
 }
 
 // Server serves registry queues over the netpq protocol. Create with
-// NewServer, start with Serve (or ListenAndServe), stop with Close.
+// NewServer, start with Serve, stop with Close.
 type Server struct {
 	opts Options
 
@@ -199,16 +198,6 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// ListenAndServe listens on addr ("host:port"; ":0" for an ephemeral
-// port) and serves until Close. Addr is readable via Addr once listening.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Addr returns the listener address, or nil before Serve.
 func (s *Server) Addr() net.Addr {
 	s.mu.Lock()
@@ -302,14 +291,13 @@ const flushLen = 64 << 10
 
 // stallProbe is the first write deadline of a burst's responses. A
 // socket with room takes a whole burst in microseconds, so a write still
-// unfinished at this deadline counts as a stall (net-write-stall).
+// unfinished at this deadline counts as a stall (Stats.WriteStalls).
 const stallProbe = time.Millisecond
 
 // conn is the state of one connection, owned by its one goroutine.
 type conn struct {
 	s    *Server
 	nc   net.Conn
-	tel  *telemetry.Shard
 	wbuf []byte // the burst's encoded responses, not yet written
 	nout uint64 // response frames in wbuf
 
@@ -336,10 +324,8 @@ func (s *Server) handleConn(nc net.Conn) {
 	c := &conn{
 		s:   s,
 		nc:  nc,
-		tel: telemetry.NewShard(),
 		kvs: make([]pq.KV, 0, MaxBatch),
 	}
-	c.tel.Inc(telemetry.NetConnOpen)
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true) // pipelined request/response traffic; latency over segment count
 	}
@@ -365,7 +351,7 @@ func (s *Server) handleConn(nc net.Conn) {
 // syscall however many frames it holds; the burst's responses go out
 // together once the reader holds no further complete request.
 func (c *conn) loop() error {
-	fr := NewFrameReader(countingReader{c.nc, c.tel})
+	fr := NewFrameReader(c.nc)
 	for {
 		f, err := fr.ReadFrame()
 		if err != nil {
@@ -383,7 +369,6 @@ func (c *conn) loop() error {
 			return err
 		}
 		c.s.framesIn.Add(1)
-		c.tel.Inc(telemetry.NetFrameIn)
 		if fatal, err := c.serve(&f); fatal {
 			if ferr := c.flush(); ferr != nil {
 				return ferr
@@ -419,11 +404,9 @@ func (c *conn) flush() error {
 	n, err := c.nc.Write(c.wbuf)
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		c.s.writeStalls.Add(1)
-		c.tel.Inc(telemetry.NetWriteStall)
 		c.nc.SetWriteDeadline(time.Now().Add(c.s.opts.StallTimeout))
 		if _, err = c.nc.Write(c.wbuf[n:]); errors.Is(err, os.ErrDeadlineExceeded) {
 			c.s.drops.Add(1)
-			c.tel.Inc(telemetry.NetDrop)
 			return fmt.Errorf("evicted after %v write stall", c.s.opts.StallTimeout)
 		}
 	}
@@ -431,21 +414,8 @@ func (c *conn) flush() error {
 		return err
 	}
 	c.s.framesOut.Add(c.nout)
-	c.tel.Add(telemetry.NetFrameOut, c.nout)
 	c.wbuf, c.nout = c.wbuf[:0], 0
 	return nil
-}
-
-// countingReader counts the server's Read calls on a connection
-// (net-read); net-read ÷ net-frame-in is the read syscalls per request.
-type countingReader struct {
-	r   io.Reader
-	tel *telemetry.Shard
-}
-
-func (cr countingReader) Read(p []byte) (int, error) {
-	cr.tel.Inc(telemetry.NetRead)
-	return cr.r.Read(p)
 }
 
 // serve executes the decoded request f, whose payload aliases the read

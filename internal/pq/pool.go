@@ -39,8 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
-
-	"cpq/internal/telemetry"
 )
 
 // Grower is implemented by queues whose internal layout is sized by the
@@ -53,15 +51,12 @@ type Grower interface {
 	EnsureHandles(p int)
 }
 
-// PoolOptions configures NewPool. The zero value is usable: no handles are
-// pre-created and the cap defaults to a small multiple of GOMAXPROCS.
+// PoolOptions configures NewPool. The zero value is usable: the cap
+// defaults to a small multiple of GOMAXPROCS.
 type PoolOptions struct {
-	// InitialHandles pre-creates this many handles into the free list, so
-	// the first wave of Acquires skips the growth slow path.
-	InitialHandles int
 	// MaxHandles caps how many handles the pool will ever create. At the
 	// cap, Acquire waits for a Release (or a steal) instead of growing.
-	// <= 0 selects max(InitialHandles, 4·GOMAXPROCS).
+	// <= 0 selects 4·GOMAXPROCS.
 	MaxHandles int
 }
 
@@ -102,8 +97,6 @@ type Pool struct {
 	created atomic.Int64  // handles ever created (≤ max)
 	steals  atomic.Uint64 // abandoned handles reclaimed
 	closed  atomic.Bool   // Close ran; free lists drained, inner queue closed
-
-	tel *telemetry.Shard
 
 	mu sync.Mutex // growth: inner-handle creation and index assignment
 
@@ -173,9 +166,6 @@ func NewPool(q Queue, opts PoolOptions) *Pool {
 	if maxH <= 0 {
 		maxH = defaultMaxFactor * runtime.GOMAXPROCS(0)
 	}
-	if opts.InitialHandles > maxH {
-		maxH = opts.InitialHandles
-	}
 	nsh := 8
 	for nsh < 2*runtime.GOMAXPROCS(0) {
 		nsh <<= 1
@@ -186,12 +176,6 @@ func NewPool(q Queue, opts PoolOptions) *Pool {
 		shards: make([]poolShard, nsh),
 		mask:   uint32(nsh - 1),
 		free:   make([]freeSlot, maxH),
-		tel:    telemetry.NewShard(),
-	}
-	for i := 0; i < opts.InitialHandles; i++ {
-		if h := p.newHandle(); h != nil {
-			p.pushOverflow(h)
-		}
 	}
 	return p
 }
@@ -206,18 +190,15 @@ func (p *Pool) Acquire() *PooledHandle {
 	for starve := 0; ; starve++ {
 		if h := p.tryReuse(); h != nil {
 			h.activate()
-			p.tel.Inc(telemetry.PoolReuse)
 			return h
 		}
 		if p.created.Load() < int64(p.max) {
 			if h := p.newHandle(); h != nil {
 				h.activate()
-				p.tel.Inc(telemetry.PoolGrow)
 				return h
 			}
 			continue // lost the growth race; a free handle may have appeared
 		}
-		p.tel.Inc(telemetry.PoolStarve)
 		if starve%starveGCEvery == starveGCEvery-1 {
 			runtime.GC()
 		}
@@ -328,7 +309,6 @@ func (h *PooledHandle) reclaim() {
 	Flush(h.inner)
 	p.live.Add(-1)
 	p.steals.Add(1)
-	p.tel.Inc(telemetry.PoolSteal)
 	// Re-arm before resurrection: once back in a free list the wrapper can
 	// be acquired — and abandoned — again.
 	runtime.SetFinalizer(h, (*PooledHandle).reclaim)
@@ -420,24 +400,13 @@ func (p *Pool) Close() error {
 	return Close(p.q)
 }
 
-// Queue returns the queue the pool recycles handles of.
-func (p *Pool) Queue() Queue { return p.q }
-
-// Cap returns the maximum number of handles the pool will create.
-func (p *Pool) Cap() int { return p.max }
-
 // Live returns the number of currently acquired handles.
 func (p *Pool) Live() int { return int(p.live.Load()) }
 
-// PeakLive returns the high-water mark of Live since construction (or the
-// last ResetPeak). Dynamic relaxation accounting judges rank errors
-// against this, not against a frozen Options.Threads.
+// PeakLive returns the high-water mark of Live since construction.
+// Dynamic relaxation accounting judges rank errors against this, not
+// against a frozen Options.Threads.
 func (p *Pool) PeakLive() int { return int(p.peak.Load()) }
-
-// ResetPeak restarts the peak-live watermark from the current live count,
-// so a measured phase can be judged by its own concurrency rather than a
-// warmup's.
-func (p *Pool) ResetPeak() { p.peak.Store(p.live.Load()) }
 
 // Created returns how many inner handles the pool has ever created. The
 // k-LSM family's dynamic bound is judged against this (a released k-LSM

@@ -130,21 +130,6 @@ func TestPoolReuseAndGrowth(t *testing.T) {
 	}
 }
 
-func TestPoolInitialHandles(t *testing.T) {
-	q := &fakeQueue{}
-	p := NewPool(q, PoolOptions{InitialHandles: 3, MaxHandles: 3})
-	if got := p.Created(); got != 3 {
-		t.Fatalf("Created after NewPool = %d, want 3", got)
-	}
-	hs := []*PooledHandle{p.Acquire(), p.Acquire(), p.Acquire()}
-	if got := p.Created(); got != 3 {
-		t.Fatalf("Created after draining the prefill = %d, want 3 (no growth)", got)
-	}
-	for _, h := range hs {
-		p.Release(h)
-	}
-}
-
 func TestPoolCapBlocksUntilRelease(t *testing.T) {
 	q := &fakeQueue{}
 	p := NewPool(q, PoolOptions{MaxHandles: 2})
@@ -312,11 +297,12 @@ func TestPoolConcurrentChurn(t *testing.T) {
 }
 
 // TestAcquireReleaseAllocs gates the hit path at zero allocations per
-// Acquire/Release pair (the tentpole's headline constraint, same style as
+// Acquire/Release pair (the pool's headline constraint, same style as
 // the telemetry and substrate alloc gates).
 func TestAcquireReleaseAllocs(t *testing.T) {
 	q := &fakeQueue{}
-	p := NewPool(q, PoolOptions{InitialHandles: 1, MaxHandles: 1})
+	p := NewPool(q, PoolOptions{MaxHandles: 1})
+	p.Release(p.Acquire()) // warm: create the one handle outside the measurement
 	allocs := testing.AllocsPerRun(1000, func() {
 		h := p.Acquire()
 		p.Release(h)
@@ -331,7 +317,8 @@ func TestAcquireReleaseAllocs(t *testing.T) {
 func TestPoolOverflowStack(t *testing.T) {
 	q := &fakeQueue{}
 	const n = 64
-	p := NewPool(q, PoolOptions{InitialHandles: n, MaxHandles: n})
+	p := NewPool(q, PoolOptions{MaxHandles: n})
+	// Warm the pool: hold n handles at once, so it grows to its cap.
 	hs := make([]*PooledHandle, n)
 	for i := range hs {
 		hs[i] = p.Acquire()
@@ -351,7 +338,7 @@ func TestPoolOverflowStack(t *testing.T) {
 		seen[h] = true
 	}
 	if got := p.Created(); got != n {
-		t.Fatalf("Created after drain = %d, want %d (no growth past prefill)", got, n)
+		t.Fatalf("Created after drain = %d, want %d (no growth past the warm-up)", got, n)
 	}
 	for h := range seen {
 		p.Release(h)

@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"cpq/internal/pq"
-	"cpq/internal/telemetry"
 )
 
 // Heap is a sequential binary min-heap over pq.Item ordered by Key.
@@ -143,10 +142,6 @@ func (h *Heap) invariantOK() bool {
 type GlobalLock struct {
 	mu sync.Mutex
 	h  Heap
-	// tel is shared by every goroutine using the queue (the queue is its
-	// own handle); batch sites write it with one atomic Add per call, and
-	// the global mutex already serializes the operations around them.
-	tel *telemetry.Shard
 }
 
 var _ pq.Queue = (*GlobalLock)(nil)
@@ -156,7 +151,7 @@ var _ pq.BatchInserter = (*GlobalLock)(nil)
 var _ pq.BatchDeleter = (*GlobalLock)(nil)
 
 // NewGlobalLock returns an empty GlobalLock queue.
-func NewGlobalLock() *GlobalLock { return &GlobalLock{tel: telemetry.NewShard()} }
+func NewGlobalLock() *GlobalLock { return &GlobalLock{} }
 
 // Name implements pq.Queue.
 func (g *GlobalLock) Name() string { return "globallock" }
@@ -191,8 +186,6 @@ func (g *GlobalLock) InsertN(kvs []pq.KV) {
 	g.mu.Lock()
 	g.h.PushN(kvs)
 	g.mu.Unlock()
-	g.tel.Add(telemetry.BatchInsertItems, uint64(len(kvs)))
-	g.tel.ObserveBatchWidth(len(kvs))
 }
 
 // DeleteMinN implements pq.BatchDeleter: up to n exact minima under one
@@ -207,8 +200,6 @@ func (g *GlobalLock) DeleteMinN(dst []pq.KV, n int) int {
 	g.mu.Lock()
 	got := len(g.h.PopN(dst[:0], n))
 	g.mu.Unlock()
-	g.tel.Add(telemetry.BatchDeleteItems, uint64(got))
-	g.tel.ObserveBatchWidth(got)
 	return got
 }
 

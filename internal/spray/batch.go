@@ -22,14 +22,11 @@ var _ pq.BatchDeleter = (*Handle)(nil)
 // InsertN implements pq.BatchInserter. The batch is sorted ascending in
 // place (caller-owned per the contract) and spliced as a run.
 func (h *Handle) InsertN(kvs []pq.KV) {
-	n := len(kvs)
-	if n == 0 {
+	if len(kvs) == 0 {
 		return
 	}
 	pq.SortKVs(kvs)
 	h.sh.InsertRun(kvs, h.rng)
-	h.tel.Add(telemetry.BatchInsertItems, uint64(n))
-	h.tel.ObserveBatchWidth(n)
 }
 
 // DeleteMinN implements pq.BatchDeleter. Up to two sprays each claim a
@@ -59,8 +56,6 @@ func (h *Handle) DeleteMinN(dst []pq.KV, n int) int {
 		chaos.Perturb(chaos.SprayFallback)
 		got += h.claimRun(h.q.list.Head(), dst[got:], n-got, 0)
 	}
-	h.tel.Add(telemetry.BatchDeleteItems, uint64(got))
-	h.tel.ObserveBatchWidth(got)
 	return got
 }
 

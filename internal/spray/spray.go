@@ -29,20 +29,6 @@ import (
 	"cpq/internal/telemetry"
 )
 
-// Params are the spray-walk tuning parameters of the original paper.
-type Params struct {
-	// K is added to ⌊log₂ P⌋ to give the starting height.
-	K int
-	// M scales the per-level maximum jump length.
-	M float64
-	// D is the number of levels descended between jumps.
-	D int
-}
-
-// DefaultParams returns the parameter choice used by the paper's authors
-// (K=1, M=1, D=1).
-func DefaultParams() Params { return Params{K: 1, M: 1, D: 1} }
-
 // Queue is a SprayList. The walk geometry is derived from the thread-count
 // parameter p at construction and re-derived when a handle pool grows past
 // it (EnsureHandles); height and maxJump are published together in one
@@ -50,9 +36,8 @@ func DefaultParams() Params { return Params{K: 1, M: 1, D: 1} }
 // different geometries.
 type Queue struct {
 	list   *skiplist.List
-	p      atomic.Int32 // expected maximum number of concurrent threads
-	params Params
-	geom   atomic.Uint64 // height<<32 | maxJump, published by NewParams/EnsureHandles
+	p      atomic.Int32  // expected maximum number of concurrent threads
+	geom   atomic.Uint64 // height<<32 | maxJump, published by New/EnsureHandles
 	seed   atomic.Uint64
 	growMu sync.Mutex // serializes EnsureHandles (p and geom move together)
 }
@@ -60,24 +45,15 @@ type Queue struct {
 var _ pq.Queue = (*Queue)(nil)
 var _ pq.Grower = (*Queue)(nil)
 
-// New returns an empty SprayList tuned for up to p concurrent threads with
-// default parameters. p < 1 is treated as 1.
-func New(p int) *Queue { return NewParams(p, DefaultParams()) }
-
-// NewParams returns an empty SprayList with explicit spray parameters.
-func NewParams(p int, params Params) *Queue {
+// New returns an empty SprayList tuned for up to p concurrent threads.
+// p < 1 is treated as 1.
+func New(p int) *Queue {
 	if p < 1 {
 		p = 1
 	}
-	if params.D < 1 {
-		params.D = 1
-	}
-	if params.M <= 0 {
-		params.M = 1
-	}
-	q := &Queue{list: skiplist.New(), params: params}
+	q := &Queue{list: skiplist.New()}
 	q.p.Store(int32(p))
-	q.geom.Store(packGeometry(sprayGeometry(p, params)))
+	q.geom.Store(packGeometry(sprayGeometry(p)))
 	return q
 }
 
@@ -95,7 +71,7 @@ func (q *Queue) EnsureHandles(p int) {
 	if p <= int(q.p.Load()) {
 		return
 	}
-	q.geom.Store(packGeometry(sprayGeometry(p, q.params)))
+	q.geom.Store(packGeometry(sprayGeometry(p)))
 	q.p.Store(int32(p))
 }
 
@@ -104,20 +80,19 @@ func packGeometry(height, maxJump int) uint64 {
 }
 
 // sprayGeometry derives the starting height H and the per-level maximum
-// jump length L. The walk's total reach — the product of per-level spans —
-// is calibrated so a spray covers on the order of M·P·log³P nodes, the
+// jump length L with the original paper's parameters K = 1, M = 1 and
+// D = 1: the walk starts at height ⌊log₂ P⌋ + K, and descends D levels
+// between jumps. Its total reach — the product of per-level spans — is
+// calibrated so a spray covers on the order of M·P·log³P nodes, the
 // candidate-set size the paper proves near-uniform selection over.
-func sprayGeometry(p int, params Params) (height, maxJump int) {
+func sprayGeometry(p int) (height, maxJump int) {
 	logP := math.Log2(float64(p) + 1)
-	height = int(math.Floor(logP)) + params.K
-	if height < 1 {
-		height = 1
-	}
+	height = int(math.Floor(logP)) + 1 // K = 1
 	if height >= skiplist.MaxHeight {
 		height = skiplist.MaxHeight - 1
 	}
-	reach := params.M * float64(p) * math.Pow(logP+1, 3)
-	levels := float64(height/params.D + 1)
+	reach := float64(p) * math.Pow(logP+1, 3) // M = 1
+	levels := float64(height + 1)             // D = 1: every level jumps
 	// Each level contributes an expected span of (L/2)·2^level nodes; we
 	// size L so the summed expectation is of order `reach`. Using the
 	// dominant top-level term keeps this a one-liner and inside a small
@@ -258,10 +233,7 @@ func (h *Handle) sprayWalk() (landing skiplist.Node, ok bool) {
 		if level == 0 {
 			break
 		}
-		level -= q.params.D
-		if level < 0 {
-			level = 0
-		}
+		level-- // D = 1: descend one level between jumps
 	}
 	return curr, true
 }

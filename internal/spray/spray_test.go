@@ -38,10 +38,26 @@ func TestGeometry(t *testing.T) {
 	}
 }
 
-func TestNewParamsDefaults(t *testing.T) {
-	q := NewParams(4, Params{K: 0, M: 0, D: 0})
-	if q.params.M != 1 || q.params.D != 1 {
-		t.Fatalf("degenerate params not normalized: %+v", q.params)
+// TestGeometryValues pins the walk geometry (starting height, max jump)
+// for each thread count, both at construction and after a pool grows a
+// one-thread queue to the same count.
+func TestGeometryValues(t *testing.T) {
+	for _, tc := range []struct{ p, height, maxJump int }{
+		{1, 2, 2},
+		{2, 2, 4},
+		{4, 3, 4},
+		{8, 4, 4},
+		{64, 7, 4},
+		{1024, 11, 4},
+	} {
+		if h, j := New(tc.p).Geometry(); h != tc.height || j != tc.maxJump {
+			t.Errorf("New(%d).Geometry() = (%d, %d), want (%d, %d)", tc.p, h, j, tc.height, tc.maxJump)
+		}
+		q := New(1)
+		q.EnsureHandles(tc.p)
+		if h, j := q.Geometry(); h != tc.height || j != tc.maxJump {
+			t.Errorf("New(1).EnsureHandles(%d): Geometry() = (%d, %d), want (%d, %d)", tc.p, h, j, tc.height, tc.maxJump)
+		}
 	}
 }
 

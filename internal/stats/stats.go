@@ -90,17 +90,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// MeanStddevUint computes mean and sample standard deviation of integer data
-// (used by the rank-error benchmark, which aggregates millions of ranks).
-// It uses a streaming Welford accumulator to stay numerically stable.
-func MeanStddevUint(xs []uint64) (mean, stddev float64) {
-	var acc Welford
-	for _, x := range xs {
-		acc.Add(float64(x))
-	}
-	return acc.Mean(), acc.Stddev()
-}
-
 // Welford is a streaming mean/variance accumulator (Welford's algorithm).
 // The zero value is ready to use. Not safe for concurrent use.
 type Welford struct {

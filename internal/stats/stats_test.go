@@ -128,17 +128,6 @@ func TestWelfordMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestMeanStddevUint(t *testing.T) {
-	mean, sd := MeanStddevUint([]uint64{1, 2, 3, 4, 5})
-	if !approx(mean, 3, 1e-12) || !approx(sd, math.Sqrt(2.5), 1e-9) {
-		t.Fatalf("mean=%v sd=%v", mean, sd)
-	}
-	mean, sd = MeanStddevUint(nil)
-	if mean != 0 || sd != 0 {
-		t.Fatalf("empty MeanStddevUint = %v, %v", mean, sd)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 {

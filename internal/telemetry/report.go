@@ -57,21 +57,3 @@ func (s Snapshot) LatencySummary(indent string) string {
 	}
 	return b.String()
 }
-
-// BatchWidthSummary renders one line for the realized-batch-width
-// histogram, e.g.
-//
-//	batch-width  n=12500   p50≤8  p99≤8
-//
-// Buckets are the same log₂ grid as the latency histograms, but the
-// observations are item counts, not nanoseconds. Empty histogram (no
-// native batch calls ran) renders the empty string.
-func (s Snapshot) BatchWidthSummary(indent string) string {
-	h := s.BatchWidth
-	if h.Count() == 0 {
-		return ""
-	}
-	return fmt.Sprintf("%s%-10s n=%-9d p50≤%-8d p99≤%d\n",
-		indent, "batch-width", h.Count(),
-		uint64(h.Percentile(50)), uint64(h.Percentile(99)))
-}

@@ -145,88 +145,12 @@ const (
 	// lost claim CAS (lotan/lotan.go:DeleteMin; one batched Add per call).
 	// This is the head-contention signal the Lindén batching avoids.
 	LotanClaimFail
-	// BatchInsertItems counts items moved through native InsertN paths
-	// (one batched Add per call — every substrate's InsertN). Divided by
-	// the batch-width histogram's count it yields the mean insert batch.
-	BatchInsertItems
-	// BatchDeleteItems counts items moved through native DeleteMinN paths
-	// (one batched Add per call — every substrate's DeleteMinN).
-	BatchDeleteItems
 	// BatchFallback counts batched harness operations that fell back to
 	// the scalar loop because the handle implements neither BatchInserter
-	// nor BatchDeleter (harness/harness.go:worker, quality/quality.go:Run;
-	// one batched Add per worker run). Nonzero on a queue claimed to have
-	// a native batch path means the capability detection is broken.
+	// nor BatchDeleter (harness/harness.go:Run, RunOps; one batched Add
+	// per worker run). Nonzero on a queue claimed to have a native batch
+	// path means the capability detection is broken.
 	BatchFallback
-	// PoolReuse counts Acquires served from a free-list (shard slot or
-	// overflow stack) rather than by creating a handle
-	// (pq/pool.go:Acquire). This is the hit path gated at 0 allocs/op.
-	PoolReuse
-	// PoolGrow counts handles created by the capped growth slow path
-	// (pq/pool.go:grow). Under steady churn this saturates at the cap and
-	// stops moving; continued growth means releases are not keeping up.
-	PoolGrow
-	// PoolSteal counts abandoned handles reclaimed by the pool — a wrapper
-	// became unreachable while acquired, its buffers were flushed back and
-	// the handle returned to the free list (pq/pool.go:reclaim).
-	PoolSteal
-	// PoolStarve counts Acquire wait rounds at the cap: every free-list
-	// probe failed and growth is exhausted, so the caller yielded
-	// (pq/pool.go:Acquire). A high rate means the cap is undersized for
-	// the live concurrency.
-	PoolStarve
-	// NetConnOpen counts connections accepted by the pqd service
-	// (netpq/server.go:Serve). The gap against the stats connsActive
-	// gauge is the churn rate.
-	NetConnOpen
-	// NetFrameIn counts request frames decoded off connections
-	// (netpq/server.go:loop). Divided into ops moved it yields the
-	// realized frame batching — the socket-path analogue of the
-	// batch-width histogram.
-	NetFrameIn
-	// NetRead counts read calls the server makes on its connections
-	// (netpq/server.go:countingReader). Each reads as much of a pipelined
-	// burst as has arrived, so NetRead/NetFrameIn falls below one as
-	// clients pipeline deeper.
-	NetRead
-	// NetFrameOut counts response frames written to connections
-	// (netpq/server.go:flush). In a healthy run it tracks NetFrameIn
-	// one-to-one; a persistent gap means responses are held behind a
-	// slow consumer.
-	NetFrameOut
-	// NetWriteStall counts response writes that had to wait for the
-	// client to drain its socket (netpq/server.go:flush): while one
-	// waits the connection reads nothing, so backpressure propagates to
-	// the client through TCP flow control.
-	NetWriteStall
-	// NetDrop counts connections dropped by slow-consumer eviction: a
-	// response write was still unfinished at the stall timeout
-	// (netpq/server.go:flush).
-	NetDrop
-	// DurWALAppend counts WAL records appended by the durable tier
-	// (durable/wal.go:append) — one per logged InsertN/DeleteMinN.
-	DurWALAppend
-	// DurFsync counts durability barriers issued against the backing
-	// store (durable/wal.go:commit). DurFsync/DurWALAppend is the
-	// fsyncs/op ratio group commit exists to push below 1.
-	DurFsync
-	// DurGroupJoin counts operations that rode another producer's fsync
-	// instead of issuing their own (durable/wal.go:commitWait). At high
-	// producer counts this should dominate DurFsync.
-	DurGroupJoin
-	// DurSnapshot counts snapshots committed
-	// (durable/snapshot.go:takeSnapshot): seal, incremental fold,
-	// chunked part write, manifest commit, WAL truncation — all
-	// concurrent with live traffic.
-	DurSnapshot
-	// DurReplayItems counts live items reconstructed by crash recovery
-	// (durable/recover.go:replay) — snapshot items plus WAL-tail inserts
-	// minus logged deletes.
-	DurReplayItems
-	// DurSnapChunk counts partial-snapshot chunk records written by the
-	// concurrent snapshotter (durable/snapshot.go:takeSnapshot) while
-	// producers keep appending to the live WAL tail.
-	DurSnapChunk
 
 	// NumCounters bounds per-shard counter storage; not a counter itself.
 	NumCounters
@@ -256,25 +180,7 @@ var counterMeta = [NumCounters]struct{ name, help string }{
 	LindenRestructure: {"linden-restructure", "batch physical unlinks of the dead prefix"},
 	LindenSpliceRetry: {"linden-splice-retry", "lost validated level-0 splice CASes on insert"},
 	LotanClaimFail:    {"lotan-claim-fail", "head-scan steps that could not claim a node"},
-	BatchInsertItems:  {"batch-insert-items", "items moved through native InsertN paths"},
-	BatchDeleteItems:  {"batch-delete-items", "items moved through native DeleteMinN paths"},
 	BatchFallback:     {"batch-fallback", "batched ops served by the scalar fallback loop"},
-	PoolReuse:         {"pool-reuse", "Acquires served from a free-list (zero-alloc hit path)"},
-	PoolGrow:          {"pool-grow", "handles created by the capped growth slow path"},
-	PoolSteal:         {"pool-steal", "abandoned handles reclaimed (flushed and re-pooled)"},
-	PoolStarve:        {"pool-starve", "Acquire wait rounds with free lists empty at the cap"},
-	NetConnOpen:       {"net-conn-open", "connections accepted by the pqd service"},
-	NetFrameIn:        {"net-frame-in", "request frames decoded off connections"},
-	NetRead:           {"net-read", "read calls on connections (one per pipelined burst)"},
-	NetFrameOut:       {"net-frame-out", "response frames written to connections"},
-	NetWriteStall:     {"net-write-stall", "response writes that waited for the client to drain its socket"},
-	NetDrop:           {"net-drop", "connections dropped by slow-consumer eviction"},
-	DurWALAppend:      {"dur-wal-append", "WAL records appended (one per logged batch op)"},
-	DurFsync:          {"dur-fsync", "durability barriers issued to the backing store"},
-	DurGroupJoin:      {"dur-group-join", "ops that rode another producer's fsync (group commit)"},
-	DurSnapshot:       {"dur-snapshot", "concurrent snapshots committed (fold, part, manifest, truncate)"},
-	DurReplayItems:    {"dur-replay-items", "live items reconstructed by crash recovery"},
-	DurSnapChunk:      {"dur-snap-chunk", "partial-snapshot chunks written concurrently with traffic"},
 }
 
 // Name returns the counter's short table identifier, e.g. "slsm-republish".
@@ -290,11 +196,10 @@ func (c Counter) Help() string { return counterMeta[c].help }
 // quiet. The trailing pad keeps a neighbouring allocation off the last
 // counter's cache line.
 type Shard struct {
-	counts     [NumCounters]atomic.Uint64
-	insertLat  Histogram
-	deleteLat  Histogram
-	batchWidth Histogram
-	_          [8]uint64
+	counts    [NumCounters]atomic.Uint64
+	insertLat Histogram
+	deleteLat Histogram
+	_         [8]uint64
 }
 
 // registry is the global shard list Capture aggregates over. Shards are
@@ -380,30 +285,15 @@ func (s *Shard) ObserveDelete(ns int64) {
 	s.deleteLat.observe(ns)
 }
 
-// ObserveBatchWidth records the realized width of one native batch call —
-// the item count actually moved, which for DeleteMinN may be short of the
-// requested n. The histogram reuses the log₂ buckets (widths, not
-// nanoseconds). Nil-safe like Inc; one observation per batch call.
-func (s *Shard) ObserveBatchWidth(n int) {
-	if !Enabled {
-		return
-	}
-	if s == nil {
-		return
-	}
-	s.batchWidth.observe(int64(n))
-}
-
 // Snapshot is an aggregated, immutable view of all registered shards at
 // one point in time. Two snapshots bracketing a measured phase Diff into
 // the phase's own event counts — the harness takes one after prefill and
 // one after the workers join, so prefill activity never pollutes the
 // measured numbers.
 type Snapshot struct {
-	Counts     [NumCounters]uint64
-	InsertLat  HistSnapshot
-	DeleteLat  HistSnapshot
-	BatchWidth HistSnapshot
+	Counts    [NumCounters]uint64
+	InsertLat HistSnapshot
+	DeleteLat HistSnapshot
 }
 
 // Capture aggregates every registered shard into a Snapshot. It must only
@@ -421,7 +311,6 @@ func Capture() Snapshot {
 		}
 		snap.InsertLat.accumulate(&s.insertLat)
 		snap.DeleteLat.accumulate(&s.deleteLat)
-		snap.BatchWidth.accumulate(&s.batchWidth)
 	}
 	return snap
 }
@@ -436,7 +325,6 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	}
 	d.InsertLat = s.InsertLat.Diff(prev.InsertLat)
 	d.DeleteLat = s.DeleteLat.Diff(prev.DeleteLat)
-	d.BatchWidth = s.BatchWidth.Diff(prev.BatchWidth)
 	return d
 }
 
@@ -449,7 +337,6 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 	}
 	m.InsertLat = s.InsertLat.Merge(o.InsertLat)
 	m.DeleteLat = s.DeleteLat.Merge(o.DeleteLat)
-	m.BatchWidth = s.BatchWidth.Merge(o.BatchWidth)
 	return m
 }
 
@@ -460,6 +347,5 @@ func (s Snapshot) Zero() bool {
 			return false
 		}
 	}
-	return s.InsertLat.Count() == 0 && s.DeleteLat.Count() == 0 &&
-		s.BatchWidth.Count() == 0
+	return s.InsertLat.Count() == 0 && s.DeleteLat.Count() == 0
 }

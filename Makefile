@@ -25,18 +25,17 @@ race:
 # then the race-sensitive packages (the
 # engineered MultiQueue's buffer stealing, the k-LSM's pooled hot path with
 # spy/run-buffer stealing, the packed-word skiplist substrate and its
-# lock-free queues, the handle pool with its steal path and 0-alloc gate,
-# the harness churn mode, the quality replay, the chaos checker, the
+# lock-free queues, the handle pool with its blocking wait and 0-alloc
+# gate, the harness churn mode, the quality replay, the chaos checker, the
 # socket server, and the telemetry shards' race-freedom test) and
 # the root pool-churn test and rank-error matrix (every registry queue; no
 # queue with a claimed bound may have a deletion whose definite rank
 # exceeds it, DESIGN.md §6) under the race detector, plus a short-budget
 # chaos pass over the whole registry (scalar, batch widths, and pooled
 # handle lifecycles) from a race-built pqbench, pqbench smoke runs
-# of the batch-width grid (widths 1 and 8), the goroutine-churn cells (pool
-# and naive lifecycles) and the latency mode's CSV, a pqload smoke, one
-# pass of the sequential sub-heap and sub-queue kernels (so they keep
-# building), and the vet and tests of the separate benchmark module
+# of the batch-width grid (widths 1 and 8), the goroutine-churn cells and
+# the latency mode's CSV, a pqload smoke, one pass of the sequential
+# sub-heap and sub-queue kernels (so they keep building), and the vet and tests of the separate benchmark module
 # (bench/), which the root module's ./... does not reach.
 #
 # The smoke binaries (and the race-built pqbench the chaos passes run) are
@@ -47,7 +46,7 @@ SMOKE_BIN   = .smoke_build
 SMOKE       = GOTRACEBACK=all timeout -s QUIT -k 10s 60s
 SMOKE_CELL  = -threads 8 -duration 30ms -reps 1 -prefill 2000
 SMOKE_GRID  = -queues globallock,multiq,multiq-s4-b8,klsm4096,linden $(SMOKE_CELL)
-SMOKE_CHURN = -queues klsm4096,multiq $(SMOKE_CELL) -churn 400 -churn-abandon 64
+SMOKE_CHURN = -queues klsm4096,multiq $(SMOKE_CELL) -churn 400
 check:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
@@ -64,7 +63,6 @@ check:
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_GRID) > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_GRID) -batch 8 > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_CHURN) > /dev/null
-	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_CHURN) -churn-naive > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqbench -queues multiq -threads 1,2 -ops 2000 -prefill 1000 -csv > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqload -smoke > /dev/null
 	$(GO) test -run '^$$' -bench '^BenchmarkSub(Heap|queue)$$' -benchtime 1x ./internal/seqheap/ ./internal/multiq/
@@ -138,13 +136,11 @@ durable:
 	$(GO) test -race -count=1 -run TestKillRecoverConserve ./cmd/pqd/
 	$(GO) test -count=1 -run '^$$' -bench Recover -benchtime 1x ./internal/durable/
 
-# The goroutine-churn acceptance bench alone: pool vs naive lifecycle on
-# the churn acceptance queues, with abandonment, as a readable table.
+# The goroutine-churn bench alone: the pooled handle lifecycle on the
+# churn queues, as a readable table.
 bench-churn:
-	$(GO) run ./cmd/pqbench -churn 100000 -churn-abandon 64 -threads 8 \
+	$(GO) run ./cmd/pqbench -churn 100000 -threads 8 \
 		-queues klsm4096,multiq -prefill 100000 -reps 3
-	$(GO) run ./cmd/pqbench -churn 100000 -churn-abandon 64 -threads 8 \
-		-queues klsm4096,multiq -prefill 100000 -reps 3 -churn-naive
 
 # Every testing.B bench (ablations, acceptance cells, kernels, allocation
 # and churn benches), fixed op count for speed.

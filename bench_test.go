@@ -299,11 +299,10 @@ func BenchmarkAblationExtensions(b *testing.B) {
 
 // benchHandleChurn drives the goroutine-churn benchmark: b.N operations
 // spread over short-lived goroutines (burst of 64 ops each) across 8
-// spawn-join slots, with the handle lifecycle under test — the elastic
-// pq.Pool versus the naive mutex-guarded free list. The MOps/s metric
-// includes checkout/checkin cost; the handles metric shows how many real
-// handles backed the churn.
-func benchHandleChurn(b *testing.B, name string, naive bool) {
+// spawn-join slots, each checking a handle out of the pq.Pool. The MOps/s
+// metric includes checkout/checkin cost; the handles metric shows how many
+// real handles backed the churn.
+func benchHandleChurn(b *testing.B, name string) {
 	const burst, slots = 64, 8
 	g := b.N/burst + 1
 	if g < slots {
@@ -315,7 +314,6 @@ func benchHandleChurn(b *testing.B, name string, naive bool) {
 		Goroutines: g,
 		BurstOps:   burst,
 		Prefill:    benchPrefill,
-		Naive:      naive,
 		Seed:       1,
 	})
 	b.StopTimer()
@@ -323,17 +321,10 @@ func benchHandleChurn(b *testing.B, name string, naive bool) {
 	b.ReportMetric(float64(st.HandlesCreated), "handles")
 }
 
-// BenchmarkHandleChurn compares the pooled lifecycle against the naive
-// baseline on the two acceptance queues (see EXPERIMENTS.md §churn).
+// BenchmarkHandleChurn runs the pooled lifecycle on the two churn queues
+// (see EXPERIMENTS.md §churn).
 func BenchmarkHandleChurn(b *testing.B) {
 	for _, name := range []string{"klsm4096", "multiq"} {
-		for _, mode := range []struct {
-			label string
-			naive bool
-		}{{"pool", false}, {"naive", true}} {
-			b.Run(fmt.Sprintf("%s/%s", name, mode.label), func(b *testing.B) {
-				benchHandleChurn(b, name, mode.naive)
-			})
-		}
+		b.Run(name, func(b *testing.B) { benchHandleChurn(b, name) })
 	}
 }

@@ -36,8 +36,7 @@ type cellsRun struct {
 	qops, qprefill      int
 	altBatch            int
 	csv, telem          bool
-	churn, churnAbandon int
-	churnNaive          bool
+	churn               int
 	out                 string
 	wl                  workload.Kind
 	kd                  keys.Distribution
@@ -61,8 +60,6 @@ func newCells(fs *flag.FlagSet) *cellsRun {
 	fs.BoolVar(&c.csv, "csv", false, "emit CSV (threads,queue,mops,ci95; with -ops: threads,queue,seconds,p50_ns,p99_ns) instead of a table")
 	fs.BoolVar(&c.telem, "telemetry", false, "collect queue-internals counters and latency histograms; print one section per cell (see DESIGN.md §5)")
 	fs.IntVar(&c.churn, "churn", 0, "goroutine-churn mode: spawn this many short-lived goroutines per cell through the handle pool (the -threads sweep becomes the concurrent-slot sweep)")
-	fs.IntVar(&c.churnAbandon, "churn-abandon", 0, "churn mode: every Nth goroutine abandons its handle instead of releasing it (0 = never)")
-	fs.BoolVar(&c.churnNaive, "churn-naive", false, "churn mode: use the naive mutex-guarded handle list instead of the pool (baseline)")
 	fs.StringVar(&c.out, "out", "", "output file (default stdout)")
 	fs.IntVar(&c.qops, "qops", 30_000, "grid report: rank-error operations per thread")
 	fs.IntVar(&c.qprefill, "qprefill", 50_000, "grid report: rank-error prefill size")
@@ -273,15 +270,11 @@ func (c *cellsRun) figureCell(w io.Writer) {
 
 // churnCell prints a slots × queue table of goroutine-churn throughput
 // (harness.RunChurn): -churn short-lived goroutines per cell, each checking
-// a handle out of the pool (or the naive baseline's list) for one small op
-// burst. Each cell also shows handles created and abandoned ones stolen back.
+// a handle out of the pool for one small op burst. Each cell also shows
+// how many handles the pool created.
 func (c *cellsRun) churnCell(w io.Writer) {
-	lifecycle := "pool"
-	if c.churnNaive {
-		lifecycle = "naive"
-	}
-	fmt.Fprintf(w, "# churn goroutines=%d lifecycle=%s abandon_every=%d workload=%s keys=%s prefill=%d reps=%d\n",
-		c.churn, lifecycle, c.churnAbandon, c.wl, c.kd, c.prefill, c.reps)
+	fmt.Fprintf(w, "# churn goroutines=%d workload=%s keys=%s prefill=%d reps=%d\n",
+		c.churn, c.wl, c.kd, c.prefill, c.reps)
 	var t cli.Table
 	t.AddRow(append([]string{"slots"}, c.queues...)...)
 	for _, slots := range c.threads {
@@ -291,31 +284,23 @@ func (c *cellsRun) churnCell(w io.Writer) {
 			var last harness.ChurnStats
 			for rep := 0; rep < c.reps; rep++ {
 				last = harness.RunChurn(harness.ChurnConfig{
-					NewQueue:     factory(name),
-					Slots:        slots,
-					Goroutines:   c.churn,
-					Workload:     c.wl,
-					KeyDist:      c.kd,
-					Prefill:      c.prefill,
-					Seed:         c.seed + uint64(rep),
-					AbandonEvery: c.churnAbandon,
-					// Headroom above the working set: a starved Acquire
-					// blocks on a collector cycle, so the cap sets how many
-					// abandonments one cycle amortizes over (slots+1 would
-					// collect once per abandonment).
-					MaxHandles: slots + 64,
-					Naive:      c.churnNaive,
+					NewQueue:   factory(name),
+					Slots:      slots,
+					Goroutines: c.churn,
+					Workload:   c.wl,
+					KeyDist:    c.kd,
+					Prefill:    c.prefill,
+					Seed:       c.seed + uint64(rep),
 				})
 				mops = append(mops, last.MOps())
 			}
 			s := stats.Summarize(mops)
-			row = append(row, fmt.Sprintf("%.3f ±%.3f h=%d s=%d",
-				s.Mean, s.CI95, last.HandlesCreated, last.Steals))
+			row = append(row, fmt.Sprintf("%.3f ±%.3f h=%d", s.Mean, s.CI95, last.HandlesCreated))
 		}
 		t.AddRow(row...)
 	}
 	fmt.Fprint(w, t.String())
-	fmt.Fprintln(w, "# cells are MOps/s mean ±95% CI; h = handles created, s = abandoned handles stolen back (last rep)")
+	fmt.Fprintln(w, "# cells are MOps/s mean ±95% CI; h = handles created (last rep)")
 }
 
 // report prints the grid as one markdown report: every figure panel's

@@ -40,7 +40,7 @@ func newCheck(fs *flag.FlagSet, chaos bool) *checkRun {
 	if !chaos {
 		fs.IntVar(&c.prefill, "prefill", 50_000, "prefill size")
 	}
-	fs.BoolVar(&c.pool, "pool", false, "route handles through the elastic pq.Pool and judge bounds at the pool's handle count (quality.EffectiveP); chaos recovers abandoned handles by stealing")
+	fs.BoolVar(&c.pool, "pool", false, "route handles through the elastic pq.Pool and judge bounds at the pool's handle count (quality.EffectiveP); chaos recovers abandoned handles by Release")
 	return c
 }
 

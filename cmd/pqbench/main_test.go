@@ -51,9 +51,9 @@ func TestModes(t *testing.T) {
 		{"latency-csv", append([]string{"-ops", "300", "-csv"}, tiny...),
 			"threads,queue,seconds,p50_ns,p99_ns", []string{"threads,queue,seconds,p50_ns,p99_ns"},
 			[]string{"# workload=uniform keys=uniform32 prefill=200 ops=300"}},
-		{"churn", append([]string{"-churn", "40", "-churn-abandon", "8", "-reps", "1"}, tiny...),
+		{"churn", append([]string{"-churn", "40", "-reps", "1"}, tiny...),
 			"slots", append([]string{"slots"}, engineered...),
-			[]string{"# churn goroutines=40 lifecycle=pool abandon_every=8 workload=uniform keys=uniform32 prefill=200 reps=1"}},
+			[]string{"# churn goroutines=40 workload=uniform keys=uniform32 prefill=200 reps=1"}},
 		{"table", append([]string{"-table", "2a", "-ops", "300"}, tiny...),
 			"queue", []string{"queue", "1", "threads", "2", "threads"},
 			[]string{"# workload=uniform keys=uniform32 prefill=200 ops/thread=300 batch=1",

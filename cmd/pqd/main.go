@@ -59,7 +59,6 @@ func main() {
 		defQ     = flag.String("queue", "", "default queue spec for Hello frames with an empty queue id")
 		preloadF = flag.String("queues", "", "comma-separated queue ids to instantiate at startup (e.g. klsm4096,linden#bids,linden#asks)")
 		static   = flag.Bool("static", false, "serve only preloaded queues; reject Hello frames naming anything else")
-		threads  = flag.Int("threads", 0, "handle-pool sizing hint per queue (0 = GOMAXPROCS)")
 		stall    = flag.Duration("stall-timeout", 0, "write deadline for a client to drain its responses before it is evicted (0 = default 5s)")
 		durableF = flag.String("durable", "", "write-ahead log `dir`: wrap every served queue durably, one subdirectory per queue id")
 		snapEv   = flag.Int("snap-every", 0, "durable snapshot cadence in logged ops per queue (0 = explicit/final snapshots only)")
@@ -89,9 +88,6 @@ func main() {
 	wals := make(map[string]*durable.Queue)
 	opts := netpq.Options{
 		NewQueue: func(spec, id string, handles int) (pq.Queue, error) {
-			if *threads > 0 {
-				handles = *threads
-			}
 			o := cpq.Options{Threads: handles}
 			if *durableF != "" {
 				// Key the log directory by the full id, not the spec:

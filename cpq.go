@@ -75,9 +75,9 @@ type Item = pq.Item
 type KV = pq.KV
 
 // Pool is an elastic handle pool over any registry queue: Acquire/Release
-// with a zero-alloc per-shard fast path, lock-free recovery of abandoned
-// handles, and capped growth. See the pq package documentation and
-// DESIGN.md's handle-lifecycle section.
+// over one locked free list with a zero-alloc hit path, and capped growth;
+// at the cap, Acquire blocks until a Release. See the pq package
+// documentation and DESIGN.md's handle-lifecycle section.
 type Pool = pq.Pool
 
 // PooledHandle is the Handle implementation Pool.Acquire returns.
@@ -87,10 +87,11 @@ type PooledHandle = pq.PooledHandle
 type PoolOptions = pq.PoolOptions
 
 // NewPool wraps q in an elastic handle pool. Goroutines call Acquire for a
-// handle and Release when done; a goroutine that exits without Release
-// merely delays its handle's reuse (the pool steals it back) instead of
-// leaking it. Prefer this over per-goroutine q.Handle() whenever goroutine
-// lifetimes are short or unbounded relative to the queue's.
+// handle and Release when done. Release is mandatory, like Unlock: a
+// handle never released stays acquired, its buffered items unreachable,
+// and Pool.Close reports it. Prefer this over per-goroutine q.Handle()
+// whenever goroutine lifetimes are short or unbounded relative to the
+// queue's.
 func NewPool(q Queue, opts PoolOptions) *Pool { return pq.NewPool(q, opts) }
 
 // NewKLSM returns a k-LSM relaxed priority queue with relaxation parameter
@@ -332,8 +333,8 @@ func PeekMin(v any) (key, value uint64, ok bool) { return pq.PeekMin(v) }
 
 // Close tears down v — a Queue, Pool, or anything else a call site holds
 // at exit. Queues that hold resources beyond the heap (the durable tier's
-// WAL and store, a Pool's free lists and finalizers) flush and release
-// them; everything else (and nil) is a no-op returning nil. The
+// WAL and store, a Pool's free handles) flush and release them;
+// everything else (and nil) is a no-op returning nil. The
 // capability-checked form of pq.Closer, exactly as Flush is for Flusher,
 // so every call site can uniformly `defer cpq.Close(q)`.
 func Close(v any) error { return pq.Close(v) }

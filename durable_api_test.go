@@ -109,8 +109,8 @@ func TestCloseIsNilSafeEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := cpq.NewPool(q, cpq.PoolOptions{})
-	// Warm the pool with two handles, so Close finds one in a shard slot
-	// and one on the overflow stack.
+	// Warm the pool with two handles, so Close finds two on its free
+	// list.
 	h1, h2 := p.Acquire(), p.Acquire()
 	p.Release(h1)
 	p.Release(h2)

@@ -98,27 +98,31 @@ func main() {
 	// --- Short-lived goroutines: the handle pool ----------------------
 	// One handle per goroutine stops making sense when goroutines are
 	// request-shaped (many, short). The pool recycles a few real handles
-	// through any number of goroutines, and recovers handles whose
-	// goroutine exits without Release — forgetting the deferred call
-	// only delays reuse instead of leaking (DESIGN.md §4d).
+	// through any number of goroutines. Release is mandatory, like
+	// Unlock: it flushes the handle's buffers before the next goroutine
+	// gets it (DESIGN.md §4d).
 	pq, err := cpq.NewQueue("klsm256", cpq.Options{Threads: 1}) // pool sizes it
 	if err != nil {
 		panic(err)
 	}
 	pool := cpq.NewPool(pq, cpq.PoolOptions{})
-	defer pool.Close() // flushes pooled handles, then closes the queue
 	const requests = 1000
 	done := make(chan struct{})
 	for r := 0; r < requests; r++ {
 		go func(r int) {
 			h := pool.Acquire()
-			defer pool.Release(h)
 			h.Insert(uint64(r), 0)
 			h.DeleteMin()
+			pool.Release(h)
 			done <- struct{}{}
 		}(r)
 		<-done
 	}
-	fmt.Printf("\npool: %d request goroutines served by %d real handles (%d steals)\n",
-		requests, pool.Created(), pool.Steals())
+	fmt.Printf("\npool: %d request goroutines served by %d real handles\n",
+		requests, pool.Created())
+	// Close flushes the pooled handles, then closes the queue; it fails if
+	// a handle is still acquired.
+	if err := pool.Close(); err != nil {
+		panic(err)
+	}
 }

@@ -47,8 +47,6 @@ package chaos
 import (
 	"runtime"
 	"sync/atomic"
-
-	"cpq/internal/pq"
 )
 
 // Failpoint names one instrumented code site. The constants are the
@@ -116,14 +114,6 @@ const (
 	// the checker can verify no batch item is dropped or doubled across the
 	// retry.
 	BatchPublish
-	// AcquireSteal is the handle pool's lifecycle failpoint
-	// (pq/pool.go:Acquire, reclaim — injected through pq.SetPoolFailpoints
-	// because pq cannot import this package). A forced failure makes
-	// Acquire skip its free-list probe once, driving traffic onto the
-	// growth and starvation paths; a perturbation stalls abandoned-handle
-	// reclamation between ownership transfer and the buffer flush,
-	// widening the window a conservation bug would need.
-	AcquireSteal
 	// WALFsync is the durable tier's group-commit barrier
 	// (durable/wal.go:commit), perturbed between writing the pending
 	// buffer to the store and fsyncing it — the worst crash window: bytes
@@ -159,7 +149,6 @@ var fpNames = [NumFailpoints]string{
 	LindenSplice:      "linden-splice",
 	LindenRestructure: "linden-restructure",
 	BatchPublish:      "batch-publish",
-	AcquireSteal:      "acquire-steal",
 	WALFsync:          "wal-fsync",
 	SnapManifest:      "snap-manifest",
 }
@@ -237,13 +226,6 @@ func Enable(cfg Config) {
 		state.delays[fp].Store(0)
 		state.fails[fp].Store(0)
 	}
-	// The handle pool lives in pq, which this package imports — the
-	// AcquireSteal failpoint is injected through pq's hook variables
-	// rather than a direct call the other way.
-	pq.SetPoolFailpoints(
-		func() bool { return ShouldFail(AcquireSteal) },
-		func() { Perturb(AcquireSteal) },
-	)
 	Enabled = true
 }
 
@@ -251,7 +233,6 @@ func Enable(cfg Config) {
 // goroutine has quiesced.
 func Disable() {
 	Enabled = false
-	pq.SetPoolFailpoints(nil, nil)
 }
 
 // Stats reports per-failpoint decision hits and performed injections since

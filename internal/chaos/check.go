@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"cpq/internal/keys"
@@ -44,13 +43,11 @@ type CheckConfig struct {
 	// buffers (default 1 when Threads > 1). The post-phase Flush must make
 	// those items reachable again; losing them is an invariant violation.
 	Abandon int
-	// UsePool routes every handle through a pq.Pool. Abandonment then means
-	// dropping the pooled wrapper without Release — the recovery route is
-	// the pool's finalizer steal, not a manual Flush — and the relaxation
-	// bound is judged against the dynamic handle count
+	// UsePool routes every handle through a pq.Pool. Abandoned handles are
+	// then recovered by Release, which flushes, instead of a manual Flush,
+	// and the relaxation bound is judged against the dynamic handle count
 	// (quality.EffectiveP of the pool's peak-live and created counts)
-	// instead of a frozen Threads+2. The acquire-steal failpoint fires on
-	// this path.
+	// instead of a frozen Threads+2.
 	UsePool bool
 	// Seed drives the fault injection, the key streams and the workload
 	// mix. A failing seed reproduces the same injected decision sequence
@@ -102,11 +99,10 @@ type CheckResult struct {
 	Quality quality.Result
 	// Injected reports the failpoint activity of the run (coverage).
 	Injected Stats
-	// PoolPeakLive, PoolCreated and PoolSteals are the handle pool's
-	// statistics for a UsePool run (zero otherwise); Bound is then derived
-	// from quality.EffectiveP(Name, PoolPeakLive, PoolCreated).
+	// PoolPeakLive and PoolCreated are the handle pool's statistics for a
+	// UsePool run (zero otherwise); Bound is then derived from
+	// quality.EffectiveP(Name, PoolPeakLive, PoolCreated).
 	PoolPeakLive, PoolCreated int
-	PoolSteals                uint64
 	// Violations lists every invariant violation found; empty means PASS.
 	Violations []string
 }
@@ -125,11 +121,12 @@ func (r CheckResult) Failed() bool { return len(r.Violations) > 0 }
 //     first Abandon workers stop at half budget without flushing —
 //     mid-operation handle abandonment — while the rest flush when done,
 //     as the harnesses do.
-//  3. Recovery: Flush every abandoned handle (the pq.Flusher contract),
-//     then drain the queue to empty single-threaded through a fresh
-//     handle, still under injection. If the drain reports empty while
-//     logged items remain unaccounted, flush-and-retry; items that only
-//     appear after a retry convict the emptiness oracle.
+//  3. Recovery: release every abandoned handle — a Flush (the pq.Flusher
+//     contract), or in pool mode a Release, which flushes — then drain
+//     the queue to empty single-threaded through a fresh handle, still
+//     under injection. If the drain reports empty while logged items
+//     remain unaccounted, flush-and-retry; items that only appear after
+//     a retry convict the emptiness oracle.
 //  4. Forensics on the merged log: every inserted item deleted at most
 //     once (nothing deleted twice, nothing conjured), every item deleted
 //     exactly once overall (nothing lost, buffered items made reachable
@@ -162,9 +159,8 @@ func Check(cfg CheckConfig) CheckResult {
 	var rec quality.Recorder
 
 	// Handle lifecycle: plain mode hands out q.Handle() per role and
-	// recovers abandoned buffers with manual Flush; pool mode routes every
-	// role through Acquire/Release and recovers abandonment through the
-	// finalizer steal.
+	// releases by Flush; pool mode routes every role through
+	// Acquire/Release.
 	var pool *pq.Pool
 	acquire := func() pq.Handle { return q.Handle() }
 	release := func(h pq.Handle) { pq.Flush(h) }
@@ -201,13 +197,7 @@ func Check(cfg CheckConfig) CheckResult {
 		go func(w int) {
 			defer wg.Done()
 			h := acquire()
-			if pool == nil {
-				// Plain mode keeps every handle reachable for the manual
-				// Flush recovery. Pool mode must NOT: an abandoned wrapper
-				// is recovered precisely because nothing references it once
-				// its goroutine exits.
-				handles[w] = h
-			}
+			handles[w] = h
 			r := rng.New(cfg.Seed + uint64(w)*0x6a09e667f3bcc909)
 			gen := keys.NewGenerator(keys.Uniform32, r)
 			policy := workload.ForWorkerBatched(workload.Uniform, w, cfg.Threads, 0, 0, r)
@@ -238,37 +228,25 @@ func Check(cfg CheckConfig) CheckResult {
 			}
 			if !abandoned {
 				release(h)
-			} // abandoned + pool: drop the wrapper without Release
+			}
 		}(w)
 	}
 	close(start)
 	wg.Wait()
 
-	// Phase 3: recovery and drain. Plain mode exercises the Flusher
-	// contract on the abandoned handles: everything they still buffer must
+	// Phase 3: recovery and drain. Releasing the abandoned handles
+	// exercises the Flusher contract: everything they still buffer must
 	// become reachable. (Safe from this goroutine: the workers have
-	// joined.) Pool mode exercises the steal path instead: the abandoned
-	// wrappers became unreachable when their workers joined, so provoking
-	// the collector must reclaim them — finalizer flush, live count back
-	// down — before the drain can balance the books.
+	// joined.)
+	for w := 0; w < cfg.Abandon; w++ {
+		release(handles[w])
+	}
 	if pool != nil {
-		want := uint64(cfg.Abandon)
-		for i := 0; i < 4000 && pool.Steals() < want; i++ {
-			runtime.GC()
-			runtime.Gosched()
-		}
-		if got := pool.Steals(); got < want {
-			res.Violations = append(res.Violations, fmt.Sprintf(
-				"pool: only %d of %d abandoned handles reclaimed after repeated GC", got, want))
-		}
 		if live := pool.Live(); live != 0 {
 			res.Violations = append(res.Violations, fmt.Sprintf(
-				"pool: %d handles still live after every worker released or was stolen", live))
+				"pool: %d handles still live after every worker released", live))
 		}
-	} else {
-		for w := 0; w < cfg.Abandon; w++ {
-			pq.Flush(handles[w])
-		}
+		handles = nil // back in the pool: no longer ours to flush
 	}
 	drainH := acquire()
 	drain, kv := rec.Log(0), make([]pq.KV, 1)
@@ -294,9 +272,7 @@ func Check(cfg CheckConfig) CheckResult {
 		// recovered are lost.
 		retries++
 		for _, h := range handles {
-			if h != nil { // pool mode stores none; stolen wrappers already flushed
-				pq.Flush(h)
-			}
+			pq.Flush(h)
 		}
 		pq.Flush(drainH)
 		if drain.DeleteMin(drainH, kv) == 1 {
@@ -317,7 +293,6 @@ func Check(cfg CheckConfig) CheckResult {
 		release(drainH)
 		res.PoolPeakLive = pool.PeakLive()
 		res.PoolCreated = pool.Created()
-		res.PoolSteals = pool.Steals()
 		// Dynamic relaxation accounting: the run's actual handle lifecycle,
 		// not a frozen Threads+2, sets the kP window (shrinking it when the
 		// peak-live count stayed low; see quality.EffectiveP for the k-LSM
@@ -421,8 +396,7 @@ func (r CheckResult) String() string {
 		r.Name, r.Inserts, r.Deletions, r.Drained, r.Quality.MaxRank, r.Quality.MaxDefinite, boundStr,
 		r.Injected.TotalHits(), verdict)
 	if r.PoolCreated > 0 {
-		s += fmt.Sprintf("  [pool peak=%d created=%d steals=%d]",
-			r.PoolPeakLive, r.PoolCreated, r.PoolSteals)
+		s += fmt.Sprintf("  [pool peak=%d created=%d]", r.PoolPeakLive, r.PoolCreated)
 	}
 	for _, v := range r.Violations {
 		s += "\n    " + v

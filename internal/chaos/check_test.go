@@ -347,9 +347,8 @@ func hasViolation(res chaos.CheckResult, substr string) bool {
 }
 
 // TestCheckPoolMode runs the checker with every handle routed through a
-// pq.Pool: abandonment is dropping the wrapper without Release, recovery is
-// the finalizer steal, and the relaxation bound is the dynamic EffectiveP
-// one. Covers the acquire-steal failpoint and the post-steal accounting.
+// pq.Pool: abandoned handles are recovered by Release, and the relaxation
+// bound is the dynamic EffectiveP one.
 func TestCheckPoolMode(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -364,14 +363,8 @@ func TestCheckPoolMode(t *testing.T) {
 		if res.Failed() {
 			t.Fatalf("%s pool-mode chaos check failed (seed %d):\n%s", tc.name, res.Seed, res)
 		}
-		if res.PoolSteals < uint64(1) {
-			t.Fatalf("%s: no abandoned handle was stolen:\n%s", tc.name, res)
-		}
 		if res.PoolCreated == 0 || res.PoolPeakLive == 0 {
 			t.Fatalf("%s: pool statistics missing:\n%s", tc.name, res)
-		}
-		if res.Injected.Hits[chaos.AcquireSteal] == 0 {
-			t.Fatalf("%s: acquire-steal failpoint never hit: %+v", tc.name, res.Injected.Hits)
 		}
 		// The reported bound must be the dynamic one — derived from the
 		// pool's peak-live/created counts, not the frozen Threads+2.

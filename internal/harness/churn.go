@@ -4,10 +4,7 @@
 // outnumber GOMAXPROCS by orders of magnitude and live for one small op
 // burst — so the cost under test is not the queue's operations but the
 // handle lifecycle around them: checkout, a short burst, checkin, repeat,
-// M times. RunChurn drives that shape through either the elastic pq.Pool
-// (the subsystem under test) or a deliberately naive mutex-guarded handle
-// list (the baseline every server would write first), so the two can be
-// compared cell-for-cell.
+// M times. RunChurn drives that shape through the pq.Pool.
 package harness
 
 import (
@@ -28,6 +25,7 @@ type ChurnConfig struct {
 	// Slots is the number of concurrently live goroutines: each slot runs
 	// its share of the Goroutines sequentially, spawn-join, so at any
 	// moment at most Slots short-lived goroutines (and handles) are live.
+	// It is also the pool's cap.
 	Slots int
 	// Goroutines is the total number of short-lived goroutines spawned
 	// across all slots (the benchmark's M, typically >> GOMAXPROCS).
@@ -40,17 +38,6 @@ type ChurnConfig struct {
 	KeyDist  keys.Distribution
 	Prefill  int
 	Seed     uint64
-	// AbandonEvery, when > 0, makes every AbandonEvery-th goroutine exit
-	// without returning its handle. Pool mode recovers these by stealing;
-	// the naive baseline loses the handle outright (and, being naive, any
-	// items it still buffered) and pays for a fresh one.
-	AbandonEvery int
-	// MaxHandles caps the pool (<= 0 selects Slots+1). Ignored by the
-	// naive baseline, which has no cap.
-	MaxHandles int
-	// Naive selects the baseline lifecycle: one global mutex around a
-	// free-handle list instead of the pool's per-shard fast path.
-	Naive bool
 }
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
@@ -69,9 +56,6 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	if c.Seed == 0 {
 		c.Seed = 0x9e3779b97f4a7c15
 	}
-	if c.MaxHandles <= 0 {
-		c.MaxHandles = c.Slots + 1
-	}
 	return c
 }
 
@@ -84,13 +68,11 @@ type ChurnStats struct {
 	PerSlot           []uint64
 	// Goroutines is the number of short-lived goroutines actually spawned.
 	Goroutines int
-	// HandlesCreated, PeakLive and Steals are the lifecycle's accounting:
-	// how many real handles backed the M goroutines, the high-water mark
-	// of concurrently checked-out handles, and how many abandoned handles
-	// were stolen back (always 0 for the naive baseline — it cannot).
+	// HandlesCreated and PeakLive are the pool's accounting: how many real
+	// handles backed the M goroutines, and the high-water mark of
+	// concurrently checked-out handles.
 	HandlesCreated int
 	PeakLive       int
-	Steals         uint64
 }
 
 // MOps returns the throughput in million operations per second. Lifecycle
@@ -102,52 +84,11 @@ func (s ChurnStats) MOps() float64 {
 	return float64(s.Ops) / 1e6 / s.Duration.Seconds()
 }
 
-// naiveLifecycle is the baseline: a single mutex around a free-handle
-// slice. Checkout and checkin serialize every goroutine through one lock
-// and one cache line; an abandoned handle is simply gone, so the created
-// count climbs with the abandonment rate and structures whose per-handle
-// state persists (the k-LSM family) accumulate dead components.
-type naiveLifecycle struct {
-	q       pq.Queue
-	mu      sync.Mutex
-	free    []pq.Handle
-	live    int
-	peak    int
-	created int
-}
-
-func (n *naiveLifecycle) acquire() pq.Handle {
-	n.mu.Lock()
-	var h pq.Handle
-	if l := len(n.free); l > 0 {
-		h = n.free[l-1]
-		n.free = n.free[:l-1]
-	} else {
-		h = n.q.Handle()
-		n.created++
-	}
-	n.live++
-	if n.live > n.peak {
-		n.peak = n.live
-	}
-	n.mu.Unlock()
-	return h
-}
-
-func (n *naiveLifecycle) release(h pq.Handle) {
-	pq.Flush(h)
-	n.mu.Lock()
-	n.free = append(n.free, h)
-	n.live--
-	n.mu.Unlock()
-}
-
 // RunChurn spawns cfg.Goroutines short-lived goroutines across cfg.Slots
 // spawn-join slots. Each goroutine checks a handle out, performs
-// cfg.BurstOps operations, and checks it back in (unless it is an
-// abandoner); its slot then spawns the next. The measured interval covers
-// the whole churn, so checkout/checkin cost is part of the reported
-// throughput.
+// cfg.BurstOps operations, and checks it back in; its slot then spawns the
+// next. The measured interval covers the whole churn, so checkout/checkin
+// cost is part of the reported throughput.
 func RunChurn(cfg ChurnConfig) ChurnStats {
 	cfg = cfg.withDefaults()
 	// Construct minimally sized: the pool grows layout-elastic structures
@@ -163,19 +104,7 @@ func RunChurn(cfg ChurnConfig) ChurnStats {
 	}
 	PrefillQueue(q, pcfg)
 
-	var pool *pq.Pool
-	var naive *naiveLifecycle
-	var acquire func() pq.Handle
-	var release func(pq.Handle)
-	if cfg.Naive {
-		naive = &naiveLifecycle{q: q}
-		acquire = naive.acquire
-		release = naive.release
-	} else {
-		pool = pq.NewPool(q, pq.PoolOptions{MaxHandles: cfg.MaxHandles})
-		acquire = func() pq.Handle { return pool.Acquire() }
-		release = func(h pq.Handle) { pool.Release(h.(*pq.PooledHandle)) }
-	}
+	pool := pq.NewPool(q, pq.PoolOptions{MaxHandles: cfg.Slots})
 
 	var (
 		start    = make(chan struct{})
@@ -197,9 +126,8 @@ func RunChurn(cfg ChurnConfig) ChurnStats {
 			done := make(chan struct{}) // reused by every goroutine of this slot
 			<-start
 			for g := s; g < cfg.Goroutines; g += cfg.Slots {
-				abandon := cfg.AbandonEvery > 0 && (g+1)%cfg.AbandonEvery == 0
 				go func() {
-					h := acquire()
+					h := pool.Acquire()
 					for i := 0; i < cfg.BurstOps; i++ {
 						if policy.Next() == workload.Insert {
 							h.Insert(gen.Next(), uint64(s))
@@ -210,9 +138,7 @@ func RunChurn(cfg ChurnConfig) ChurnStats {
 						}
 					}
 					ops += uint64(cfg.BurstOps)
-					if !abandon {
-						release(h)
-					} // abandoners just exit: pool steals, naive loses
+					pool.Release(h)
 					done <- struct{}{}
 				}()
 				<-done
@@ -227,22 +153,16 @@ func RunChurn(cfg ChurnConfig) ChurnStats {
 	elapsed := time.Since(began)
 
 	res := ChurnStats{
-		Duration:   elapsed,
-		PerSlot:    make([]uint64, cfg.Slots),
-		Goroutines: cfg.Goroutines,
+		Duration:       elapsed,
+		PerSlot:        make([]uint64, cfg.Slots),
+		Goroutines:     cfg.Goroutines,
+		HandlesCreated: pool.Created(),
+		PeakLive:       pool.PeakLive(),
 	}
 	for s := range counters {
 		res.Ops += counters[s].ops
 		res.EmptyDeletes += counters[s].empty
 		res.PerSlot[s] = counters[s].ops
-	}
-	if pool != nil {
-		res.HandlesCreated = pool.Created()
-		res.PeakLive = pool.PeakLive()
-		res.Steals = pool.Steals()
-	} else {
-		res.HandlesCreated = naive.created
-		res.PeakLive = naive.peak
 	}
 	return res
 }

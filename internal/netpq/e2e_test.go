@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -599,5 +600,142 @@ func TestServeAfterClose(t *testing.T) {
 	if nc, err := net.Dial("tcp", ln.Addr().String()); err == nil {
 		nc.Close()
 		t.Fatal("the listener still accepts after Serve returned")
+	}
+}
+
+// TestConnectionPastPoolCap holds every handle of a served queue's pool
+// (the default cap, 4·GOMAXPROCS, is 4 at GOMAXPROCS 1) and dials one more
+// connection. Its Hello waits, without running the collector, until
+// another connection closes; and Close returns while a Hello waits.
+func TestConnectionPastPoolCap(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const capacity = 4
+	srv, addr := newLoopbackServer(t, netpq.Options{})
+	conns := make([]*netpq.Client, capacity)
+	for i := range conns {
+		c, err := netpq.Dial(addr, "globallock")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[i] = c
+	}
+	type dialed struct {
+		c   *netpq.Client
+		err error
+	}
+	dial := func() <-chan dialed {
+		ch := make(chan dialed, 1)
+		go func() {
+			c, err := netpq.Dial(addr, "globallock")
+			ch <- dialed{c, err}
+		}()
+		return ch
+	}
+	// helloRead waits until the server has read n Hello frames: the last
+	// one's handler is then in (or past) its pool Acquire.
+	helloRead := func(n uint64) {
+		for deadline := time.Now().Add(10 * time.Second); srv.Stats().FramesIn < n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("the server read %d frames, want %d", srv.Stats().FramesIn, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	waiting := dial()
+	helloRead(capacity + 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	select {
+	case r := <-waiting:
+		t.Fatalf("Hello past the cap answered (err %v) while %d connections hold every handle", r.err, capacity)
+	case <-time.After(time.Second):
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.NumGC - before.NumGC; n > 2 {
+		t.Fatalf("%d GC cycles while one Hello waited 1s at the pool cap, want <= 2", n)
+	}
+	conns[0].Close()
+	select {
+	case r := <-waiting:
+		if r.err != nil {
+			t.Fatalf("Hello after a connection closed: %v", r.err)
+		}
+		defer r.c.Close()
+	case <-time.After(10 * time.Second):
+		t.Fatal("Hello still unanswered after a connection closed")
+	}
+
+	waiting = dial()
+	helloRead(capacity + 2)
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return while a Hello waited at the pool cap")
+	}
+	// Closing the other connections may free a handle for the waiter
+	// before Close reaches its connection, so its Hello may or may not
+	// have been answered; either way its dial has returned.
+	if r := <-waiting; r.err == nil {
+		r.c.Close()
+	}
+}
+
+// acceptOnce accepts one connection, then fails every later Accept as a
+// broken listener would.
+type acceptOnce struct {
+	net.Listener
+	accepted atomic.Bool
+}
+
+func (l *acceptOnce) Accept() (net.Conn, error) {
+	if l.accepted.Swap(true) {
+		return nil, errors.New("accept failed")
+	}
+	return l.Listener.Accept()
+}
+
+// TestCloseQueuesAfterAcceptError pins the shutdown order when Serve
+// returns an accept error: CloseQueues first closes the server, so no
+// handler keeps serving a queue that is being closed.
+func TestCloseQueuesAfterAcceptError(t *testing.T) {
+	srv, err := netpq.NewServer(netpq.Options{
+		NewQueue: func(spec, _ string, threads int) (pq.Queue, error) {
+			return cpq.NewQueue(spec, cpq.Options{Threads: threads})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(&acceptOnce{Listener: ln}) }()
+	c, err := netpq.Dial(ln.Addr().String(), "globallock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	select {
+	case err := <-served:
+		if err == nil {
+			t.Fatal("Serve returned nil after a failed Accept")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return after a failed Accept")
+	}
+	if err := srv.CloseQueues(); err != nil {
+		t.Fatalf("CloseQueues: %v", err)
+	}
+	if err := c.Insert(1, 1); err == nil {
+		t.Fatal("a request after CloseQueues was served: its handler outlived the queue")
 	}
 }

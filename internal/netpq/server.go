@@ -264,13 +264,14 @@ func (s *Server) Close() error {
 	return err
 }
 
-// CloseQueues closes every served queue: each pool is closed (flushing
-// and disarming its handles, then closing the inner queue if it
-// implements pq.Closer — a durable queue takes its final snapshot and
-// syncs its log here). Call after Close has returned, when no handler
-// still holds a handle; the first error is returned, but every queue is
-// closed regardless.
+// CloseQueues closes the server (Close: no handler still holds a handle
+// once it returns), then every served queue: each pool is closed
+// (flushing its handles, then closing the inner queue if it implements
+// pq.Closer — a durable queue takes its final snapshot and syncs its log
+// here). The first error is returned, but every queue is closed
+// regardless.
 func (s *Server) CloseQueues() error {
+	_ = s.Close() // its only error is the listener's, which the queues do not depend on
 	s.mu.Lock()
 	queues := s.queues
 	s.queues = make(map[string]*servedQueue)

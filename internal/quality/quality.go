@@ -115,7 +115,7 @@ type Result struct {
 func Run(cfg Config) Result {
 	cfg = cfg.withDefaults()
 	// Pool mode constructs the queue minimally sized: the pool's Grower
-	// calls (pq.Pool.newHandle) grow layout-elastic structures to the
+	// calls (in pq.Pool.Acquire) grow layout-elastic structures to the
 	// actual created-handle count, so EffectiveP judges the size the
 	// structure really reached rather than a frozen Threads.
 	constructP := cfg.Threads

@@ -34,9 +34,10 @@ race:
 # chaos pass over the whole registry (scalar, batch widths, and pooled
 # handle lifecycles) from a race-built pqbench, pqbench smoke runs
 # of the batch-width grid (widths 1 and 8), the goroutine-churn cells and
-# the latency mode's CSV, a pqload smoke, one pass of the sequential
-# sub-heap and sub-queue kernels (so they keep building), and the vet and tests of the separate benchmark module
-# (bench/), which the root module's ./... does not reach.
+# the latency mode's CSV (widths 1 and 8), a pqload smoke, one pass of
+# the sequential sub-heap and sub-queue kernels (so they keep building),
+# and the vet and tests of the separate benchmark module (bench/), which
+# the root module's ./... does not reach.
 #
 # The smoke binaries (and the race-built pqbench the chaos passes run) are
 # built once and each run is time-bounded: a livelocked queue gets SIGQUIT
@@ -47,6 +48,7 @@ SMOKE       = GOTRACEBACK=all timeout -s QUIT -k 10s 60s
 SMOKE_CELL  = -threads 8 -duration 30ms -reps 1 -prefill 2000
 SMOKE_GRID  = -queues globallock,multiq,multiq-s4-b8,klsm4096,linden $(SMOKE_CELL)
 SMOKE_CHURN = -queues klsm4096,multiq $(SMOKE_CELL) -churn 400
+SMOKE_OPS   = -queues multiq -threads 1,2 -ops 2000 -prefill 1000 -csv
 check:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
@@ -63,7 +65,8 @@ check:
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_GRID) > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_GRID) -batch 8 > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_CHURN) > /dev/null
-	$(SMOKE) $(SMOKE_BIN)/pqbench -queues multiq -threads 1,2 -ops 2000 -prefill 1000 -csv > /dev/null
+	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_OPS) > /dev/null
+	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_OPS) -batch 8 > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqload -smoke > /dev/null
 	$(GO) test -run '^$$' -bench '^BenchmarkSub(Heap|queue)$$' -benchtime 1x ./internal/seqheap/ ./internal/multiq/
 	cd bench && $(GO) vet ./... && $(GO) test ./...

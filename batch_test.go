@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"testing"
 
+	"cpq/internal/pq"
 	"cpq/internal/rng"
 )
 
@@ -100,11 +101,18 @@ func TestBatchAllocGates(t *testing.T) {
 	}
 }
 
+// scalarBatchQueues are the registry queues DESIGN.md §4c gives no native
+// batch path: a single CAS or lock per item leaves a batch nothing to
+// amortize, so they take the generic scalar fallback.
+var scalarBatchQueues = map[string]bool{"hunt": true, "mound": true, "cbpq": true, "locksl": true}
+
 // TestBatchScalarInterleavingOracle interleaves batch and scalar operations
 // on every registry queue (native batch paths and the generic fallback
 // alike) against a reference heap: items are conserved with full key/value
 // fidelity, and on the strict queues every batch delete returns exactly the
-// keys the oracle would pop.
+// keys the oracle would pop. Each handle must implement both batch
+// interfaces exactly when DESIGN.md §4c lists its queue as native, so a
+// lost native path fails here.
 func TestBatchScalarInterleavingOracle(t *testing.T) {
 	strict := map[string]bool{}
 	for _, n := range strictQueues {
@@ -118,6 +126,12 @@ func TestBatchScalarInterleavingOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := q.Handle()
+			_, ins := h.(pq.BatchInserter)
+			_, del := h.(pq.BatchDeleter)
+			if native := !scalarBatchQueues[name]; ins != native || del != native {
+				t.Fatalf("handle implements BatchInserter %v, BatchDeleter %v; DESIGN.md §4c lists it as native %v",
+					ins, del, native)
+			}
 			var oracle oracleHeap
 			live := map[uint64]int{} // key -> live count (conservation)
 			r := rng.New(777)

@@ -298,13 +298,13 @@ func BenchmarkAblationExtensions(b *testing.B) {
 }
 
 // benchHandleChurn drives the goroutine-churn benchmark: b.N operations
-// spread over short-lived goroutines (burst of 64 ops each) across 8
-// spawn-join slots, each checking a handle out of the pq.Pool. The MOps/s
-// metric includes checkout/checkin cost; the handles metric shows how many
-// real handles backed the churn.
+// spread over short-lived goroutines (burst of harness.BurstOps ops each)
+// across 8 spawn-join slots, each checking a handle out of the pq.Pool.
+// The MOps/s metric includes checkout/checkin cost; the handles metric
+// shows how many real handles backed the churn.
 func benchHandleChurn(b *testing.B, name string) {
-	const burst, slots = 64, 8
-	g := b.N/burst + 1
+	const slots = 8
+	g := b.N/harness.BurstOps + 1
 	if g < slots {
 		g = slots
 	}
@@ -312,7 +312,6 @@ func benchHandleChurn(b *testing.B, name string) {
 		NewQueue:   factory(name),
 		Slots:      slots,
 		Goroutines: g,
-		BurstOps:   burst,
 		Prefill:    benchPrefill,
 		Seed:       1,
 	})

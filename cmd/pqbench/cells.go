@@ -162,6 +162,7 @@ func (c *cellsRun) thruCell(wl workload.Kind, kd keys.Distribution) (t cli.Table
 				NewQueue:  factory(name),
 				Threads:   p,
 				Duration:  c.duration,
+				Ops:       c.ops,
 				Workload:  wl,
 				KeyDist:   kd,
 				Prefill:   c.prefill,
@@ -171,9 +172,9 @@ func (c *cellsRun) thruCell(wl workload.Kind, kd keys.Distribution) (t cli.Table
 			}
 			var s harness.Series
 			if c.ops > 0 {
-				// Latency mode: a fixed op count; elapsed time and sampled
-				// per-op latency percentiles.
-				res := harness.RunOps(cfg, c.ops)
+				// Latency mode: one op-counted run; elapsed time and
+				// sampled per-op latency percentiles.
+				res := harness.Run(cfg)
 				row = append(row, fmt.Sprintf("%.3fs p50=%.0fns p99=%.0fns",
 					res.Duration.Seconds(), res.LatencyP50, res.LatencyP99))
 				csv = append(csv, fmt.Sprintf("%d,%s,%.6f,%.0f,%.0f",

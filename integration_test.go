@@ -105,8 +105,8 @@ func TestQualityMatrix(t *testing.T) {
 	}
 }
 
-// TestRunOpsMatchesRunSemantics: the latency-mode harness must produce the
-// same kind of accounting as the duration-mode one.
+// TestRunOpsMatchesRunSemantics: an op-counted run (the latency mode) must
+// produce the same kind of accounting as a timed one.
 func TestRunOpsMatchesRunSemantics(t *testing.T) {
 	cfg := harness.Config{
 		NewQueue: func(p int) pq.Queue { return NewGlobalLock() },
@@ -114,11 +114,12 @@ func TestRunOpsMatchesRunSemantics(t *testing.T) {
 		Workload: workload.Alternating,
 		KeyDist:  keys.Uniform32,
 		Prefill:  100,
+		Ops:      500,
 		Seed:     3,
 	}
-	res := harness.RunOps(cfg, 500)
+	res := harness.Run(cfg)
 	if res.Ops != 1000 {
-		t.Fatalf("RunOps Ops = %d", res.Ops)
+		t.Fatalf("op-counted Run Ops = %d", res.Ops)
 	}
 	if res.MOps() <= 0 {
 		t.Fatal("non-positive MOps")

@@ -9,13 +9,17 @@ package harness
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cpq/internal/keys"
 	"cpq/internal/pq"
-	"cpq/internal/rng"
 	"cpq/internal/workload"
 )
+
+// BurstOps is how many operations each short-lived goroutine performs
+// between checkout and checkin: the "small op burst".
+const BurstOps = 64
 
 // ChurnConfig describes one goroutine-churn benchmark cell.
 type ChurnConfig struct {
@@ -25,14 +29,12 @@ type ChurnConfig struct {
 	// Slots is the number of concurrently live goroutines: each slot runs
 	// its share of the Goroutines sequentially, spawn-join, so at any
 	// moment at most Slots short-lived goroutines (and handles) are live.
-	// It is also the pool's cap.
+	// It is also the pool's cap. Values below 1 select 1.
 	Slots int
 	// Goroutines is the total number of short-lived goroutines spawned
-	// across all slots (the benchmark's M, typically >> GOMAXPROCS).
+	// across all slots (the benchmark's M, typically >> GOMAXPROCS); at
+	// least Slots.
 	Goroutines int
-	// BurstOps is how many operations each goroutine performs between
-	// checkout and checkin (the "small op burst"; default 64).
-	BurstOps int
 	// Workload, KeyDist, Prefill and Seed mirror Config.
 	Workload workload.Kind
 	KeyDist  keys.Distribution
@@ -40,34 +42,11 @@ type ChurnConfig struct {
 	Seed     uint64
 }
 
-func (c ChurnConfig) withDefaults() ChurnConfig {
-	if c.Slots < 1 {
-		c.Slots = 1
-	}
-	if c.Goroutines < c.Slots {
-		c.Goroutines = c.Slots
-	}
-	if c.BurstOps < 1 {
-		c.BurstOps = 64
-	}
-	if c.Prefill < 0 {
-		c.Prefill = DefaultPrefill
-	}
-	if c.Seed == 0 {
-		c.Seed = 0x9e3779b97f4a7c15
-	}
-	return c
-}
-
 // ChurnStats is the outcome of one churn run.
 type ChurnStats struct {
-	// Ops, EmptyDeletes and Duration as in Result; PerSlot is the
-	// per-slot operation count.
-	Ops, EmptyDeletes uint64
-	Duration          time.Duration
-	PerSlot           []uint64
-	// Goroutines is the number of short-lived goroutines actually spawned.
-	Goroutines int
+	// Ops and Duration as in Result.
+	Ops      uint64
+	Duration time.Duration
 	// HandlesCreated and PeakLive are the pool's accounting: how many real
 	// handles backed the M goroutines, and the high-water mark of
 	// concurrently checked-out handles.
@@ -85,84 +64,67 @@ func (s ChurnStats) MOps() float64 {
 }
 
 // RunChurn spawns cfg.Goroutines short-lived goroutines across cfg.Slots
-// spawn-join slots. Each goroutine checks a handle out, performs
-// cfg.BurstOps operations, and checks it back in; its slot then spawns the
-// next. The measured interval covers the whole churn, so checkout/checkin
-// cost is part of the reported throughput.
+// spawn-join slots. Each goroutine checks a handle out, runs its slot's
+// worker for BurstOps operations, and checks the handle back in; its slot
+// then spawns the next. The measured interval covers the whole churn, so
+// checkout/checkin cost is part of the reported throughput.
 func RunChurn(cfg ChurnConfig) ChurnStats {
-	cfg = cfg.withDefaults()
+	slots := max(cfg.Slots, 1)
+	goroutines := max(cfg.Goroutines, slots)
+	wcfg := Config{
+		Threads:  slots,
+		Workload: cfg.Workload,
+		KeyDist:  cfg.KeyDist,
+		Prefill:  cfg.Prefill,
+		Seed:     cfg.Seed,
+	}.withDefaults()
 	// Construct minimally sized: the pool grows layout-elastic structures
 	// (Grower) as it creates handles, which is the lifecycle under test.
 	q := cfg.NewQueue(1)
 	defer pq.Close(q)
-	pcfg := Config{
-		NewQueue: func(int) pq.Queue { return q },
-		Threads:  cfg.Slots,
-		KeyDist:  cfg.KeyDist,
-		Prefill:  cfg.Prefill,
-		Seed:     cfg.Seed,
-	}
-	PrefillQueue(q, pcfg)
-
-	pool := pq.NewPool(q, pq.PoolOptions{MaxHandles: cfg.Slots})
+	PrefillQueue(q, wcfg)
+	pool := pq.NewPool(q, pq.PoolOptions{MaxHandles: slots})
 
 	var (
-		start    = make(chan struct{})
-		counters = make([]paddedCounter, cfg.Slots)
-		wg       sync.WaitGroup
+		start = make(chan struct{})
+		never atomic.Bool // bursts end on their budget
+		ops   = make([]uint64, slots)
+		wg    sync.WaitGroup
 	)
-	for s := 0; s < cfg.Slots; s++ {
+	for s := range ops {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			// Slot-local request context: the RNG, key generator and
-			// workload policy persist across the slot's goroutines (they
-			// run strictly one after another), so the measured per-
-			// goroutine cost is the handle lifecycle, not generator setup.
-			r := rng.New(cfg.Seed + uint64(s)*0x6a09e667f3bcc909)
-			gen := keys.NewGenerator(cfg.KeyDist, r)
-			policy := workload.ForWorker(cfg.Workload, s, cfg.Slots, 0.5, r)
-			var ops, empty uint64
+			// The slot's worker persists across its goroutines (they run
+			// strictly one after another), so the measured per-goroutine
+			// cost is the handle lifecycle, not generator setup.
+			w := newWorker(nil, wcfg, s, false)
 			done := make(chan struct{}) // reused by every goroutine of this slot
 			<-start
-			for g := s; g < cfg.Goroutines; g += cfg.Slots {
+			for g := s; g < goroutines; g += slots {
 				go func() {
 					h := pool.Acquire()
-					for i := 0; i < cfg.BurstOps; i++ {
-						if policy.Next() == workload.Insert {
-							h.Insert(gen.Next(), uint64(s))
-						} else if k, _, ok := h.DeleteMin(); ok {
-							gen.Observe(k)
-						} else {
-							empty++
-						}
-					}
-					ops += uint64(cfg.BurstOps)
+					w.h = h
+					w.run(&never, BurstOps)
 					pool.Release(h)
 					done <- struct{}{}
 				}()
 				<-done
 			}
-			counters[s].ops = ops
-			counters[s].empty = empty
-		}(s)
+			ops[s] = w.ops
+		}()
 	}
 	began := time.Now()
 	close(start)
 	wg.Wait()
-	elapsed := time.Since(began)
 
 	res := ChurnStats{
-		Duration:       elapsed,
-		PerSlot:        make([]uint64, cfg.Slots),
-		Goroutines:     cfg.Goroutines,
+		Duration:       time.Since(began),
 		HandlesCreated: pool.Created(),
 		PeakLive:       pool.PeakLive(),
 	}
-	for s := range counters {
-		res.Ops += counters[s].ops
-		res.EmptyDeletes += counters[s].empty
-		res.PerSlot[s] = counters[s].ops
+	for _, n := range ops {
+		res.Ops += n
 	}
 	return res
 }

@@ -12,13 +12,9 @@ func TestRunChurnPooled(t *testing.T) {
 		NewQueue:   func(int) pq.Queue { return multiq.New(2, 1) },
 		Slots:      4,
 		Goroutines: 400,
-		BurstOps:   32,
 		Prefill:    2000,
 	})
-	if st.Goroutines != 400 {
-		t.Fatalf("Goroutines = %d, want 400", st.Goroutines)
-	}
-	if want := uint64(400 * 32); st.Ops != want {
+	if want := uint64(400 * BurstOps); st.Ops != want {
 		t.Fatalf("Ops = %d, want %d", st.Ops, want)
 	}
 	// The whole point: 400 goroutines served by a handful of real handles.

@@ -1,14 +1,14 @@
 // Package harness implements the paper's throughput benchmark: prefill the
-// queue with 10^6 items, run P worker threads for a fixed wall-clock
-// duration under a configurable workload and key distribution, and report
-// million operations per second (MOps/s). Repeated runs are summarized with
-// mean and 95% confidence intervals, as in the paper ("each benchmark is
-// executed [10] times, and we report on the mean values and confidence
-// intervals").
+// queue with 10^6 items, run P worker threads under a configurable workload
+// and key distribution, and report million operations per second (MOps/s).
+// A run lasts a fixed wall-clock duration, or a fixed number of operations
+// per worker (Appendix F's throughput/latency switch); either way every
+// worker runs the same loop. Repeated runs are summarized with mean and 95%
+// confidence intervals, as in the paper ("each benchmark is executed [10]
+// times, and we report on the mean values and confidence intervals").
 package harness
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,8 +31,14 @@ type Config struct {
 	NewQueue func(threads int) pq.Queue
 	// Threads is the number of worker goroutines.
 	Threads int
-	// Duration is the measurement interval.
+	// Duration is the measurement interval of a timed run (Ops <= 0).
 	Duration time.Duration
+	// Ops, when positive, makes the run op-counted: the latency mode. Each
+	// worker performs Ops operations instead of running for Duration, the
+	// elapsed time is measured, and every latencySampleEvery-th call is
+	// timed into Result.LatencyP50/P99. At OpBatch width b a worker rounds
+	// Ops up to a multiple of b.
+	Ops int
 	// Workload selects the operation mix.
 	Workload workload.Kind
 	// KeyDist selects the key distribution.
@@ -47,10 +53,10 @@ type Config struct {
 	// OpBatch is the batch-first API width: with OpBatch >= 2 workers issue
 	// InsertN/DeleteMinN calls moving OpBatch items each (through the native
 	// batch paths where a queue has them, the generic scalar loop
-	// otherwise — counted by the batch-fallback telemetry counter). 0/1 is
-	// the scalar mode. An operation is still one item moved: a batch call
-	// counts OpBatch ops, and the unserved tail of a short delete batch
-	// counts as empty deletes, so MOps/s stays comparable across widths.
+	// otherwise). 0/1 is the scalar mode. An operation is still one item
+	// moved: a batch call counts OpBatch ops, and the unserved tail of a
+	// short delete batch counts as empty deletes, so MOps/s stays
+	// comparable across widths.
 	OpBatch int
 	// Seed makes runs reproducible; 0 selects a fixed default.
 	Seed uint64
@@ -84,12 +90,10 @@ type Result struct {
 	Duration time.Duration
 	// PerThread is the per-worker operation count (load-balance insight).
 	PerThread []uint64
-	// LatencyP50, LatencyP99, LatencyP999 and LatencyMax are per-operation
-	// latencies in nanoseconds, measured on a sample of operations (every
-	// latencySampleEvery-th op). Populated by RunOps (the latency mode)
-	// always, and by Run when telemetry is enabled — then from the log₂
-	// histogram, so values are bucket upper bounds ("p99 ≤ X").
-	LatencyP50, LatencyP99, LatencyP999, LatencyMax float64
+	// LatencyP50 and LatencyP99 are exact percentiles, in nanoseconds, of
+	// the per-call latencies an op-counted run samples (a batch call is
+	// timed whole). Zero for a timed run.
+	LatencyP50, LatencyP99 float64
 	// Telemetry holds the queue-internals counter and latency-histogram
 	// deltas of the measured phase (prefill excluded: the snapshot pair
 	// brackets only the worker phase). Nil unless telemetry.Enabled.
@@ -104,17 +108,108 @@ func (r Result) MOps() float64 {
 	return float64(r.Ops) / 1e6 / r.Duration.Seconds()
 }
 
-// paddedCounter avoids false sharing between per-worker counters.
-type paddedCounter struct {
-	ops   uint64
-	empty uint64
-	_     [6]uint64
+// latencySampleEvery is the latency sampling rate: every 16th call is
+// timed, keeping timer overhead out of the other 15.
+const latencySampleEvery = 16
+
+// worker is one load goroutine's state: its handle, key generator,
+// operation policy and width-OpBatch scratch, plus the totals of its run
+// calls.
+type worker struct {
+	h      pq.Handle
+	val    uint64 // the value every insert carries: the worker's index
+	gen    *keys.Generator
+	policy workload.Policy
+	kvs    []pq.KV // batch scratch; nil at width 1
+	tel    *telemetry.Shard
+	// timed makes run time every latencySampleEvery-th call into tel's
+	// histograms; exact also keeps each sample in samples.
+	timed, exact bool
+	samples      []float64
+	ops, empty   uint64
 }
 
-// Run executes one benchmark run. With telemetry enabled, a snapshot pair
-// brackets the worker phase (prefill activity is excluded) and every
-// latencySampleEvery-th operation is timed into the workers' private log₂
-// histograms; Result.Telemetry carries the diff.
+// newWorker builds worker id's state for cfg. Call it from the goroutine
+// that runs the worker: on fig 4a's multiq-s4-b8 cell at 2 threads,
+// workers whose RNG, generator and policy the spawning goroutine built ran
+// 29% slower (EXPERIMENTS.md, "One load loop").
+func newWorker(h pq.Handle, cfg Config, id int, timed bool) *worker {
+	r := rng.New(cfg.Seed + uint64(id)*0x6a09e667f3bcc909)
+	w := &worker{
+		h:      h,
+		val:    uint64(id),
+		gen:    keys.NewGenerator(cfg.KeyDist, r),
+		policy: workload.ForWorkerBatched(cfg.Workload, id, cfg.Threads, 0.5, cfg.BatchSize, r),
+		tel:    telemetry.NewShard(),
+		timed:  timed,
+		exact:  cfg.Ops > 0,
+	}
+	if cfg.OpBatch > 1 {
+		w.kvs = make([]pq.KV, cfg.OpBatch)
+	}
+	if w.exact {
+		w.samples = make([]float64, 0, cfg.Ops/latencySampleEvery+1)
+	}
+	return w
+}
+
+// run performs operations until stop is set or budget operations are
+// done. A call of width b counts b operations, and a delete batch that
+// comes back short counts its shortfall as empty deletes, as a DeleteMin
+// on an empty queue counts one.
+func (w *worker) run(stop *atomic.Bool, budget uint64) {
+	width := uint64(max(len(w.kvs), 1))
+	var ops, empty uint64
+	for calls := 0; ops < budget && !stop.Load(); calls++ {
+		sample := w.timed && calls%latencySampleEvery == 0
+		var t0 time.Time
+		if sample {
+			t0 = time.Now()
+		}
+		insert := w.policy.Next() == workload.Insert
+		switch {
+		case insert && w.kvs == nil:
+			w.h.Insert(w.gen.Next(), w.val)
+		case insert:
+			for i := range w.kvs {
+				w.kvs[i] = pq.KV{Key: w.gen.Next(), Value: w.val}
+			}
+			pq.InsertN(w.h, w.kvs)
+		case w.kvs == nil:
+			if k, _, ok := w.h.DeleteMin(); ok {
+				w.gen.Observe(k) // feeds the strict hold-model distributions
+			} else {
+				empty++
+			}
+		default:
+			got := pq.DeleteMinN(w.h, w.kvs, len(w.kvs))
+			for _, kv := range w.kvs[:got] {
+				w.gen.Observe(kv.Key)
+			}
+			empty += uint64(len(w.kvs) - got)
+		}
+		if sample {
+			ns := time.Since(t0).Nanoseconds()
+			if w.exact {
+				w.samples = append(w.samples, float64(ns))
+			}
+			if insert {
+				w.tel.ObserveInsert(ns)
+			} else {
+				w.tel.ObserveDelete(ns)
+			}
+		}
+		ops += width
+	}
+	w.ops += ops
+	w.empty += empty
+}
+
+// Run executes one benchmark run: timed, or op-counted when cfg.Ops > 0.
+// With telemetry enabled, a snapshot pair brackets the worker phase
+// (prefill activity is excluded), every latencySampleEvery-th call is
+// timed into the workers' private log₂ histograms, and Result.Telemetry
+// carries the diff.
 func Run(cfg Config) Result {
 	cfg = cfg.withDefaults()
 	q := cfg.NewQueue(cfg.Threads)
@@ -125,268 +220,46 @@ func Run(cfg Config) Result {
 		before = telemetry.Capture()
 	}
 
+	budget := ^uint64(0)
+	if cfg.Ops > 0 {
+		budget = uint64(cfg.Ops)
+	}
 	var (
-		start    = make(chan struct{})
-		stop     atomic.Bool
-		counters = make([]paddedCounter, cfg.Threads)
-		wg       sync.WaitGroup
+		start   = make(chan struct{})
+		stop    atomic.Bool
+		workers = make([]*worker, cfg.Threads)
+		wg      sync.WaitGroup
 	)
-	for w := 0; w < cfg.Threads; w++ {
+	for i := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			h := q.Handle()
-			tel := telemetry.NewShard()
-			r := rng.New(cfg.Seed + uint64(w)*0x6a09e667f3bcc909)
-			gen := keys.NewGenerator(cfg.KeyDist, r)
-			policy := workload.ForWorkerBatched(cfg.Workload, w, cfg.Threads, 0.5, cfg.BatchSize, r)
-			var ops, empty uint64
-			if cfg.OpBatch > 1 {
-				b := cfg.OpBatch
-				kvs := make([]pq.KV, b)
-				_, nativeIns := h.(pq.BatchInserter)
-				_, nativeDel := h.(pq.BatchDeleter)
-				var calls, fallback uint64
-				<-start
-				for !stop.Load() {
-					// In batch mode the latency sample times one whole batch
-					// call (the synchronization episode the batch API is
-					// about), every latencySampleEvery-th call.
-					sample := telemetry.Enabled && calls%latencySampleEvery == 0
-					var t0 time.Time
-					if sample {
-						t0 = time.Now()
-					}
-					if policy.Next() == workload.Insert {
-						for i := range kvs {
-							kvs[i] = pq.KV{Key: gen.Next(), Value: uint64(w)}
-						}
-						pq.InsertN(h, kvs)
-						if !nativeIns {
-							fallback++
-						}
-						if sample {
-							tel.ObserveInsert(time.Since(t0).Nanoseconds())
-						}
-					} else {
-						got := pq.DeleteMinN(h, kvs, b)
-						if !nativeDel {
-							fallback++
-						}
-						if sample {
-							tel.ObserveDelete(time.Since(t0).Nanoseconds())
-						}
-						for i := 0; i < got; i++ {
-							gen.Observe(kvs[i].Key)
-						}
-						empty += uint64(b - got)
-					}
-					ops += uint64(b)
-					calls++
-				}
-				if fallback > 0 {
-					tel.Add(telemetry.BatchFallback, fallback)
-				}
-			} else {
-				<-start
-				for !stop.Load() {
-					sample := telemetry.Enabled && ops%latencySampleEvery == 0
-					var t0 time.Time
-					if sample {
-						t0 = time.Now()
-					}
-					if policy.Next() == workload.Insert {
-						h.Insert(gen.Next(), uint64(w))
-						if sample {
-							tel.ObserveInsert(time.Since(t0).Nanoseconds())
-						}
-					} else {
-						k, _, ok := h.DeleteMin()
-						if sample {
-							tel.ObserveDelete(time.Since(t0).Nanoseconds())
-						}
-						if ok {
-							gen.Observe(k) // feeds the strict hold-model distributions
-						} else {
-							empty++
-						}
-					}
-					ops++
-				}
-			}
-			pq.Flush(h)
-			counters[w].ops = ops
-			counters[w].empty = empty
-		}(w)
+			w := newWorker(q.Handle(), cfg, i, cfg.Ops > 0 || telemetry.Enabled)
+			<-start
+			w.run(&stop, budget)
+			pq.Flush(w.h)
+			workers[i] = w
+		}()
 	}
 	began := time.Now()
 	close(start)
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
+	if cfg.Ops <= 0 {
+		time.Sleep(cfg.Duration)
+		stop.Store(true)
+	}
 	wg.Wait()
-	elapsed := time.Since(began)
 
-	res := Result{Duration: elapsed, PerThread: make([]uint64, cfg.Threads)}
-	for w := range counters {
-		res.Ops += counters[w].ops
-		res.EmptyDeletes += counters[w].empty
-		res.PerThread[w] = counters[w].ops
+	res := Result{Duration: time.Since(began), PerThread: make([]uint64, cfg.Threads)}
+	var samples []float64
+	for i, w := range workers {
+		res.Ops += w.ops
+		res.EmptyDeletes += w.empty
+		res.PerThread[i] = w.ops
+		samples = append(samples, w.samples...)
 	}
-	if telemetry.Enabled {
-		snap := telemetry.Capture().Diff(before)
-		res.Telemetry = &snap
-		lat := snap.InsertLat.Merge(snap.DeleteLat)
-		if lat.Count() > 0 {
-			res.LatencyP50 = lat.Percentile(50)
-			res.LatencyP99 = lat.Percentile(99)
-			res.LatencyP999 = lat.Percentile(99.9)
-			res.LatencyMax = lat.Percentile(100)
-		}
-	}
-	return res
-}
-
-// latencySampleEvery controls the op-latency sampling rate of RunOps:
-// every 16th operation is timed individually, keeping timer overhead out
-// of the other 15.
-const latencySampleEvery = 16
-
-// RunOps is the benchmark's latency mode (the paper's "throughput/latency
-// switch", Appendix F): instead of a fixed duration, each worker performs a
-// prescribed number of operations, the total elapsed time is measured, and
-// a sample of per-operation latencies yields P50/P99/P99.9/max (exact
-// sample percentiles, unlike Run's bucketed ones). With telemetry enabled
-// the sampled latencies additionally feed the per-kind histograms and
-// Result.Telemetry carries the measured phase's counter deltas.
-func RunOps(cfg Config, opsPerThread int) Result {
-	cfg = cfg.withDefaults()
-	if opsPerThread < 1 {
-		opsPerThread = 1
-	}
-	q := cfg.NewQueue(cfg.Threads)
-	defer pq.Close(q)
-	PrefillQueue(q, cfg)
-	var before telemetry.Snapshot
-	if telemetry.Enabled {
-		before = telemetry.Capture()
-	}
-
-	var (
-		start    = make(chan struct{})
-		counters = make([]paddedCounter, cfg.Threads)
-		samples  = make([][]float64, cfg.Threads)
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < cfg.Threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := q.Handle()
-			tel := telemetry.NewShard()
-			r := rng.New(cfg.Seed + uint64(w)*0x6a09e667f3bcc909)
-			gen := keys.NewGenerator(cfg.KeyDist, r)
-			policy := workload.ForWorkerBatched(cfg.Workload, w, cfg.Threads, 0.5, cfg.BatchSize, r)
-			local := make([]float64, 0, opsPerThread/latencySampleEvery+1)
-			var done, empty uint64
-			if cfg.OpBatch > 1 {
-				b := cfg.OpBatch
-				kvs := make([]pq.KV, b)
-				_, nativeIns := h.(pq.BatchInserter)
-				_, nativeDel := h.(pq.BatchDeleter)
-				var calls, fallback uint64
-				<-start
-				for done < uint64(opsPerThread) {
-					sample := calls%latencySampleEvery == 0
-					var t0 time.Time
-					if sample {
-						t0 = time.Now()
-					}
-					isInsert := policy.Next() == workload.Insert
-					if isInsert {
-						for i := range kvs {
-							kvs[i] = pq.KV{Key: gen.Next(), Value: uint64(w)}
-						}
-						pq.InsertN(h, kvs)
-						if !nativeIns {
-							fallback++
-						}
-					} else {
-						got := pq.DeleteMinN(h, kvs, b)
-						if !nativeDel {
-							fallback++
-						}
-						for i := 0; i < got; i++ {
-							gen.Observe(kvs[i].Key)
-						}
-						empty += uint64(b - got)
-					}
-					if sample {
-						ns := time.Since(t0).Nanoseconds()
-						local = append(local, float64(ns))
-						if isInsert {
-							tel.ObserveInsert(ns)
-						} else {
-							tel.ObserveDelete(ns)
-						}
-					}
-					done += uint64(b)
-					calls++
-				}
-				if fallback > 0 {
-					tel.Add(telemetry.BatchFallback, fallback)
-				}
-			} else {
-				<-start
-				for i := 0; i < opsPerThread; i++ {
-					sample := i%latencySampleEvery == 0
-					var t0 time.Time
-					if sample {
-						t0 = time.Now()
-					}
-					isInsert := policy.Next() == workload.Insert
-					if isInsert {
-						h.Insert(gen.Next(), uint64(w))
-					} else if k, _, ok := h.DeleteMin(); ok {
-						gen.Observe(k)
-					} else {
-						empty++
-					}
-					if sample {
-						ns := time.Since(t0).Nanoseconds()
-						local = append(local, float64(ns))
-						if isInsert {
-							tel.ObserveInsert(ns)
-						} else {
-							tel.ObserveDelete(ns)
-						}
-					}
-				}
-				done = uint64(opsPerThread)
-			}
-			pq.Flush(h)
-			counters[w].ops = done
-			counters[w].empty = empty
-			samples[w] = local
-		}(w)
-	}
-	began := time.Now()
-	close(start)
-	wg.Wait()
-	elapsed := time.Since(began)
-
-	res := Result{Duration: elapsed, PerThread: make([]uint64, cfg.Threads)}
-	var all []float64
-	for w := range counters {
-		res.Ops += counters[w].ops
-		res.EmptyDeletes += counters[w].empty
-		res.PerThread[w] = counters[w].ops
-		all = append(all, samples[w]...)
-	}
-	if len(all) > 0 {
-		res.LatencyP50 = stats.Percentile(all, 50)
-		res.LatencyP99 = stats.Percentile(all, 99)
-		res.LatencyP999 = stats.Percentile(all, 99.9)
-		res.LatencyMax = stats.Percentile(all, 100)
+	if len(samples) > 0 {
+		res.LatencyP50 = stats.Percentile(samples, 50)
+		res.LatencyP99 = stats.Percentile(samples, 99)
 	}
 	if telemetry.Enabled {
 		snap := telemetry.Capture().Diff(before)
@@ -432,7 +305,6 @@ func PrefillQueue(q pq.Queue, cfg Config) {
 
 // Series is the aggregated outcome of repeated runs of one cell.
 type Series struct {
-	Config  Config
 	Results []Result
 	// Throughput summarizes MOps/s across the repetitions.
 	Throughput stats.Summary
@@ -449,7 +321,7 @@ func RunRepeated(cfg Config, reps int) Series {
 		reps = 1
 	}
 	cfg = cfg.withDefaults()
-	s := Series{Config: cfg}
+	var s Series
 	mops := make([]float64, 0, reps)
 	for i := 0; i < reps; i++ {
 		c := cfg
@@ -467,11 +339,4 @@ func RunRepeated(cfg Config, reps int) Series {
 	}
 	s.Throughput = stats.Summarize(mops)
 	return s
-}
-
-// String renders a Series row like the paper's plots report them.
-func (s Series) String() string {
-	return fmt.Sprintf("threads=%d %s/%s: %.3f ±%.3f MOps/s (n=%d)",
-		s.Config.Threads, s.Config.Workload, s.Config.KeyDist,
-		s.Throughput.Mean, s.Throughput.CI95, s.Throughput.N)
 }

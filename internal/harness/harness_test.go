@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -117,9 +118,6 @@ func TestRunRepeatedSummary(t *testing.T) {
 	if s.Throughput.N != 3 || s.Throughput.Mean <= 0 {
 		t.Fatalf("summary: %+v", s.Throughput)
 	}
-	if s.String() == "" {
-		t.Fatal("empty String()")
-	}
 	if len(RunRepeated(quickCfg(1), 0).Results) != 1 {
 		t.Fatal("reps floor not applied")
 	}
@@ -148,50 +146,66 @@ func TestReproducibleSeeds(t *testing.T) {
 }
 
 // TestRunFlushesEngineeredHandles runs the engineered MultiQueue through
-// the throughput harness under the split workload, where the per-thread
-// counters give exact insert and delete counts: after the run every
-// operation must be accounted for in the queue (the workers' buffers were
-// flushed at phase end), and a single fresh handle must drain exactly
-// prefill + inserts - successful deletes items.
+// the harness under the split workload, where the per-thread counters give
+// exact insert and delete counts, timed and op-counted, at widths 1 and 8:
+// after the run every operation must be accounted for in the queue (the
+// workers' buffers were flushed at phase end, and a short delete batch
+// counted its shortfall as empty deletes), and a single fresh handle must
+// drain exactly prefill + inserts - successful deletes items.
 func TestRunFlushesEngineeredHandles(t *testing.T) {
-	var captured *multiq.Queue
-	res := Run(Config{
-		NewQueue: func(threads int) pq.Queue {
-			captured = multiq.NewEngineered(2, threads, 4, 8)
-			return captured
-		},
-		Threads:  2, // split: worker 0 inserts only, worker 1 deletes only
-		Duration: 30 * time.Millisecond,
-		Workload: workload.Split,
-		KeyDist:  keys.Uniform32,
-		Prefill:  100,
-		Seed:     21,
-	})
-	if res.Ops == 0 {
-		t.Fatal("no operations completed")
-	}
-	inserts := int(res.PerThread[0])
-	deletes := int(res.PerThread[1] - res.EmptyDeletes)
-	want := 100 + inserts - deletes
-	if got := captured.Len(); got != want {
-		t.Fatalf("queue holds %d items after run, want %d", got, want)
-	}
-	h := captured.Handle()
-	drained := 0
-	for {
-		if _, _, ok := h.DeleteMin(); !ok {
-			break
+	for _, mode := range []struct {
+		name     string
+		duration time.Duration
+		ops      int
+	}{{"timed", 30 * time.Millisecond, 0}, {"ops", 0, 3000}} {
+		for _, width := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/batch%d", mode.name, width), func(t *testing.T) {
+				var captured *multiq.Queue
+				res := Run(Config{
+					NewQueue: func(threads int) pq.Queue {
+						captured = multiq.NewEngineered(2, threads, 4, 8)
+						return captured
+					},
+					Threads:  2, // split: worker 0 inserts only, worker 1 deletes only
+					Duration: mode.duration,
+					Ops:      mode.ops,
+					Workload: workload.Split,
+					KeyDist:  keys.Uniform32,
+					Prefill:  100,
+					OpBatch:  width,
+					Seed:     21,
+				})
+				if res.Ops == 0 {
+					t.Fatal("no operations completed")
+				}
+				if mode.ops > 0 && res.Ops != uint64(2*mode.ops) {
+					t.Fatalf("Ops = %d, want %d", res.Ops, 2*mode.ops)
+				}
+				inserts := int(res.PerThread[0])
+				deletes := int(res.PerThread[1] - res.EmptyDeletes)
+				want := 100 + inserts - deletes
+				if got := captured.Len(); got != want {
+					t.Fatalf("queue holds %d items after run, want %d", got, want)
+				}
+				h := captured.Handle()
+				drained := 0
+				for {
+					if _, _, ok := h.DeleteMin(); !ok {
+						break
+					}
+					drained++
+				}
+				if drained != want {
+					t.Fatalf("drained %d items, want %d", drained, want)
+				}
+			})
 		}
-		drained++
-	}
-	if drained != want {
-		t.Fatalf("drained %d items, want %d", drained, want)
 	}
 }
 
 // TestRunOpsEngineered smokes the latency mode over the engineered variant.
 func TestRunOpsEngineered(t *testing.T) {
-	res := RunOps(Config{
+	res := Run(Config{
 		NewQueue: func(threads int) pq.Queue {
 			return multiq.NewEngineered(2, threads, 4, 8)
 		},
@@ -199,8 +213,9 @@ func TestRunOpsEngineered(t *testing.T) {
 		Workload: workload.Uniform,
 		KeyDist:  keys.Uniform32,
 		Prefill:  1000,
+		Ops:      2000,
 		Seed:     22,
-	}, 2000)
+	})
 	if res.Ops != 4000 {
 		t.Fatalf("Ops = %d, want 4000", res.Ops)
 	}

@@ -10,7 +10,8 @@ import (
 
 func TestRunOpsExactCount(t *testing.T) {
 	cfg := quickCfg(3)
-	res := RunOps(cfg, 1000)
+	cfg.Ops = 1000
+	res := Run(cfg)
 	if res.Ops != 3000 {
 		t.Fatalf("Ops = %d, want 3000", res.Ops)
 	}
@@ -26,7 +27,8 @@ func TestRunOpsExactCount(t *testing.T) {
 
 func TestRunOpsFloor(t *testing.T) {
 	cfg := quickCfg(1)
-	res := RunOps(cfg, 0) // clamps to 1
+	cfg.Ops = 1 // the smallest op-counted run
+	res := Run(cfg)
 	if res.Ops != 1 {
 		t.Fatalf("Ops = %d, want 1", res.Ops)
 	}
@@ -39,7 +41,8 @@ func TestRunOpsHoldModel(t *testing.T) {
 	cfg.KeyDist = keys.HoldAscending
 	cfg.Workload = workload.Alternating
 	cfg.Prefill = 100
-	res := RunOps(cfg, 2000)
+	cfg.Ops = 2000
+	res := Run(cfg)
 	if res.Ops != 4000 {
 		t.Fatalf("Ops = %d", res.Ops)
 	}
@@ -61,10 +64,11 @@ func TestRunBatchedAlternating(t *testing.T) {
 
 func TestRunOpsLatencySamples(t *testing.T) {
 	cfg := quickCfg(2)
-	res := RunOps(cfg, 5000)
-	if res.LatencyP50 <= 0 || res.LatencyP99 < res.LatencyP50 || res.LatencyMax < res.LatencyP99 {
-		t.Fatalf("latency percentiles implausible: p50=%v p99=%v max=%v",
-			res.LatencyP50, res.LatencyP99, res.LatencyMax)
+	cfg.Ops = 5000
+	res := Run(cfg)
+	if res.LatencyP50 <= 0 || res.LatencyP99 < res.LatencyP50 {
+		t.Fatalf("latency percentiles implausible: p50=%v p99=%v",
+			res.LatencyP50, res.LatencyP99)
 	}
 }
 

@@ -145,12 +145,6 @@ const (
 	// lost claim CAS (lotan/lotan.go:DeleteMin; one batched Add per call).
 	// This is the head-contention signal the Lindén batching avoids.
 	LotanClaimFail
-	// BatchFallback counts batched harness operations that fell back to
-	// the scalar loop because the handle implements neither BatchInserter
-	// nor BatchDeleter (harness/harness.go:Run, RunOps; one batched Add
-	// per worker run). Nonzero on a queue claimed to have a native batch
-	// path means the capability detection is broken.
-	BatchFallback
 
 	// NumCounters bounds per-shard counter storage; not a counter itself.
 	NumCounters
@@ -180,7 +174,6 @@ var counterMeta = [NumCounters]struct{ name, help string }{
 	LindenRestructure: {"linden-restructure", "batch physical unlinks of the dead prefix"},
 	LindenSpliceRetry: {"linden-splice-retry", "lost validated level-0 splice CASes on insert"},
 	LotanClaimFail:    {"lotan-claim-fail", "head-scan steps that could not claim a node"},
-	BatchFallback:     {"batch-fallback", "batched ops served by the scalar fallback loop"},
 }
 
 // Name returns the counter's short table identifier, e.g. "slsm-republish".

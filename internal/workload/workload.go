@@ -77,9 +77,6 @@ const (
 type Policy interface {
 	// Next returns the next operation to perform.
 	Next() Op
-	// InsertOnly reports whether this worker never deletes (used by the
-	// harness to skip delete-side bookkeeping for split inserters).
-	InsertOnly() bool
 }
 
 // ForWorker builds the policy for worker number id out of total workers
@@ -130,8 +127,6 @@ func (p *uniformPolicy) Next() Op {
 	return DeleteMin
 }
 
-func (p *uniformPolicy) InsertOnly() bool { return false }
-
 type fixedPolicy struct{ insert bool }
 
 func (p fixedPolicy) Next() Op {
@@ -140,8 +135,6 @@ func (p fixedPolicy) Next() Op {
 	}
 	return DeleteMin
 }
-
-func (p fixedPolicy) InsertOnly() bool { return p.insert }
 
 type alternatingPolicy struct {
 	batch int
@@ -159,5 +152,3 @@ func (p *alternatingPolicy) Next() Op {
 	}
 	return op
 }
-
-func (p *alternatingPolicy) InsertOnly() bool { return false }

@@ -35,7 +35,7 @@ race:
 # handle lifecycles) from a race-built pqbench, pqbench smoke runs
 # of the batch-width grid (widths 1 and 8), the goroutine-churn cells and
 # the latency mode's CSV (widths 1 and 8), a pqload smoke, one pass of
-# the sequential sub-heap and sub-queue kernels (so they keep building),
+# the sub-heap and sub-queue kernels (so they keep building),
 # and the vet and tests of the separate benchmark module (bench/), which
 # the root module's ./... does not reach.
 #
@@ -68,7 +68,7 @@ check:
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_OPS) > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqbench $(SMOKE_OPS) -batch 8 > /dev/null
 	$(SMOKE) $(SMOKE_BIN)/pqload -smoke > /dev/null
-	$(GO) test -run '^$$' -bench '^BenchmarkSub(Heap|queue)$$' -benchtime 1x ./internal/seqheap/ ./internal/multiq/
+	$(GO) test -run '^$$' -bench '^BenchmarkSub(Heap|queue|queueSplit)$$' -benchtime 1x ./internal/seqheap/ ./internal/multiq/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fault-injection stress pass: every registry queue under seeded schedule
@@ -98,12 +98,14 @@ bench-klsm:
 	$(GO) test -bench='^BenchmarkKLSM' -benchmem -benchtime=1s -count=3 .
 
 # The MultiQueue sub-heap kernels at the sub-queue shapes of bench/'s
-# fig4a and split-asc workloads: the binary and 4-ary heaps alone, and the
-# two-tier sub-queue (hot and cold 4-ary heaps) past the uniform shape's
-# hold-model drift; benchstat-comparable output.
+# fig4a and split-asc workloads: the binary and 4-ary heaps alone, the
+# two-tier sub-queue (a hot 4-ary heap over a cold radix heap) past the
+# uniform shape's hold-model drift, and split-asc's two-goroutine shape
+# through the queue (one handle pushing rising batches while another
+# pops); benchstat-comparable output.
 bench-subheap:
 	$(GO) test -run '^$$' -bench='^BenchmarkSubHeap$$' -benchtime=200000x -count=3 ./internal/seqheap/
-	$(GO) test -run '^$$' -bench='^BenchmarkSubqueue$$' -benchtime=200000x -count=3 ./internal/multiq/
+	$(GO) test -run '^$$' -bench='^BenchmarkSubqueue(Split)?$$' -benchtime=200000x -count=3 ./internal/multiq/
 
 # The skiplist-substrate acceptance benches: the fig-4a uniform-workload
 # cell at 8 threads for linden/spray/lotan plus the single-threaded linden

@@ -31,13 +31,15 @@ const scanWindow = 64 << 10
 //
 // Appended keys live in segment files ("<escaped key>@seg") preallocated
 // up front (fallocate where available), so an Append is a pwrite(2) into
-// blocks that already exist plus an atomically-published write offset —
-// no metadata journaling from file growth on the hot path. Sync flushes
-// the dirty segments with fdatasync (data pages only; the size does not
-// change after preallocation). Get reads the published prefix back with
-// pread; the WAL's live segments are written and synced thousands of
-// times per second but read back only on recovery and by the snapshot
-// fold.
+// reserved blocks plus an atomically-published write offset: the file
+// never grows on the hot path. Sync flushes the dirty segments with
+// fdatasync (the size does not change after preallocation). Reserved is
+// not written, though: on ext4, fallocate reserves unwritten extents, and
+// the first write into each block converts its extent, a metadata change
+// the next fdatasync journals (DESIGN.md §8e). Get reads the published
+// prefix back with pread; the WAL's live segments are written and synced
+// thousands of times per second but read back only on recovery and by
+// the snapshot fold.
 //
 // Set/Delete keys (manifests) are plain files. Update stages the batch,
 // then applies every Set as write-temp, fsync, rename (per-key atomic: a
@@ -545,8 +547,9 @@ func errDeleted(key string) error { return fmt.Errorf("kv: append to deleted seg
 
 // Sync implements Store: flush every segment appended since the last
 // barrier. fdatasync suffices — the file size was fixed at
-// preallocation, so there is no metadata to journal, which is the point
-// of preallocating.
+// preallocation, so it flushes no size update; on ext4 it still journals
+// the extent conversions of blocks written for the first time (see
+// Disk).
 func (s *Disk) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

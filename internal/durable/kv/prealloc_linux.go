@@ -7,10 +7,13 @@ import (
 	"syscall"
 )
 
-// prealloc reserves size bytes of real blocks for f. fallocate both
-// extends the inode size and allocates the extents, so later pwrites
-// into the region dirty only data pages — no metadata journaling on the
-// hot path, which is the point of preallocating.
+// prealloc reserves size bytes of blocks for f. fallocate both extends
+// the inode size and allocates the extents, so later pwrites into the
+// region never grow the file. The extents are unwritten, though (ext4):
+// the first write into each block converts its extent, and the next
+// fdatasync journals that conversion. A probe on ext4 read the p50 of a
+// 4.8 KB pwrite plus fdatasync at 99–111 µs into fallocated blocks and
+// 61–70 µs into blocks written before.
 func prealloc(f *os.File, size int64) error {
 	if err := syscall.Fallocate(int(f.Fd()), 0, 0, size); err != nil {
 		// Filesystems without fallocate (tmpfs on old kernels, overlay

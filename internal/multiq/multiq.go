@@ -13,32 +13,36 @@
 // Each sub-queue caches its current minimum key in an atomic word so
 // delete_min's comparison never takes locks it will not use.
 //
-// A sub-queue is two 4-ary heaps (seqheap.QuadHeap), not the paper's
-// std::priority_queue, a binary heap. Popping a heap sifts an item down
-// the whole heap, and at the benchmark's sizes (10^6 items over 8
-// sub-queues) that walk leaves the cache: the 4-ary heap takes half the
-// levels, each one cache line of 4 siblings (DESIGN.md §10).
+// A sub-queue is two tiers, not the paper's std::priority_queue (a binary
+// heap): a 4-ary heap (seqheap.QuadHeap), hot, over a radix heap
+// (seqheap.RadixHeap), cold. Cold takes every key at or above its floor,
+// hot every key below it. The floor is the radix heap's reference key: 0
+// until cold's first pop, then cold's minimum after each of its pops (the
+// popped key, if that pop emptied it). Every hot key is then below the
+// floor and every cold key at or above it, so a pop drains hot before it
+// touches cold and the sub-queue stays an exact priority queue: a cold
+// pop happens only when hot is empty and returns cold's minimum, so the
+// floor never falls.
 //
-// The two heaps are tiers. The cold heap takes every key at or above the
-// floor, the key of its own latest pop (QuadHeap.LastPop); the hot heap
-// takes every key below it. Every hot key is then below the floor and
-// every cold key at or above it, so a pop drains hot before it touches
-// cold and the sub-queue stays an exact priority queue: a cold pop happens
-// only when hot is empty and returns cold's minimum, so the floor never
-// falls. Under uniform keys and delete-min the keys a sub-queue keeps
-// drift up to the old, large ones, and most new keys land below them and
-// are popped within a few operations; the hot heap holds those in a few
-// cache lines, where one heap would answer each such pop by sifting an
-// old leaf down all of its levels. The floor is cold's last pop, not its
-// minimum, so that a prefill, which pops nothing, lands in cold whole
+// Cold only receives keys at or above its floor and only pops upward: a
+// monotone priority queue, the case radix heaps serve. Its pushes are
+// appends, and a pop takes the floor's bucket or refills it with a
+// sequential scan, where a 4-ary heap of the benchmark's sizes (up to
+// 250k items per sub-queue) sifts a leaf down 9 levels, a cache miss each
+// (DESIGN.md §10). Under uniform keys and delete-min the keys a sub-queue
+// keeps drift up to the old, large ones, and most new keys land below the
+// floor and are popped within a few operations; the hot heap holds those
+// in a few cache lines. A prefill pops nothing, so it lands in cold whole
 // (floor 0). Keys that only rise (bench/'s split-asc) never go below a
 // floor and bypass hot.
 //
-// A sub-queue is one 64-byte object: its lock, its cached minimum and its
-// two heap headers fill exactly one cache line. Every push and pop writes
-// it under the lock, so an operation dirties that line and the heaps'
-// own, and no two sub-queues share one (a lock handoff on one sub-queue
-// never invalidates its neighbour's heaps).
+// A sub-queue is one 64-byte object: its lock, its cached minimum, hot's
+// header (a slice) and cold's (its floor and a pointer) fill one cache
+// line. Every push and pop writes it under the lock, so an operation
+// dirties that line and the tiers' own, and no two sub-queues share one (a
+// lock handoff on one sub-queue never invalidates its neighbour's tiers).
+// A push reads the floor from that line, so a key bound for hot never
+// touches cold's memory.
 //
 // NewEngineered builds the engineered variant of Williams and Sanders
 // (stickiness + per-handle operation buffers); see engineered.go.
@@ -67,15 +71,18 @@ const emptyKey = math.MaxUint64
 // when c·p is small and every sub-queue stays contended.
 const insertTryLimit = 16
 
-// subqueue is one locked pair of 4-ary heaps, hot and cold (see the
-// package comment), with its cached minimum: exactly one 64-byte cache
-// line. Allocated one by one, each sub-queue falls in the allocator's
-// 64-byte size class and so starts on a line. Every method requires mu
-// held, and the ones that change the heaps keep min current.
+// subqueue is one locked pair of tiers, a hot 4-ary heap and a cold
+// radix heap (see the package comment), with its cached minimum: exactly
+// one 64-byte cache line. Allocated one by one, each sub-queue falls in
+// the allocator's 64-byte size class and so starts on a line. Every
+// method requires mu held, and the ones that change the tiers keep min
+// current.
 type subqueue struct {
-	mu        sync.Mutex
-	min       atomic.Uint64 // cached minimum key; emptyKey when empty
-	hot, cold seqheap.QuadHeap
+	mu   sync.Mutex
+	min  atomic.Uint64 // cached minimum key; emptyKey when empty
+	hot  seqheap.QuadHeap
+	cold seqheap.RadixHeap
+	_    [8]byte // to the line's end
 }
 
 func newSubqueue() *subqueue {
@@ -84,15 +91,12 @@ func newSubqueue() *subqueue {
 	return s
 }
 
-// push adds its, each to hot if its key is below the floor (cold's last
-// pop) and to cold otherwise. While hot is empty the minimum is cold's,
-// at or above the floor, so a key at or above the minimum goes cold
-// without reading the floor, which sits on the cold root's cache line: a
-// prefill and rising keys (nearly) never touch that line.
+// push adds its, each to hot if its key is below the floor (cold's) and
+// to cold otherwise.
 func (s *subqueue) push(its []pq.Item) {
 	m := s.min.Load()
 	for _, it := range its {
-		if s.hot.Len() == 0 && it.Key >= m || it.Key >= s.cold.LastPop() {
+		if it.Key >= s.cold.Floor() {
 			s.cold.Push(it)
 		} else {
 			s.hot.Push(it)
@@ -139,7 +143,7 @@ func (s *subqueue) peek() (pq.Item, bool) {
 	return s.cold.Min()
 }
 
-// len reports the number of items in both heaps.
+// len reports the number of items in both tiers.
 func (s *subqueue) len() int { return s.hot.Len() + s.cold.Len() }
 
 func (s *subqueue) updateMin() {
@@ -182,7 +186,7 @@ var _ pq.Queue = (*Queue)(nil)
 var _ pq.Grower = (*Queue)(nil)
 
 // New returns a MultiQueue with c·p sub-queues (c <= 0 selects DefaultC,
-// p < 1 is treated as 1), each backed by two 4-ary heaps.
+// p < 1 is treated as 1), each a hot 4-ary heap over a cold radix heap.
 func New(c, p int) *Queue {
 	if c <= 0 {
 		c = DefaultC

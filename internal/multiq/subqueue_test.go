@@ -3,7 +3,10 @@ package multiq
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cpq/internal/keys"
 	"cpq/internal/pq"
@@ -12,7 +15,8 @@ import (
 
 // tierModel is the reference for one sub-queue: the items each tier must
 // hold under the floor rule, as slices sorted by key and then value, and
-// the floor itself (the key of the latest pop from cold).
+// the floor itself (cold's minimum after its latest pop, or that pop's
+// key if it emptied cold; 0 before the first).
 type tierModel struct {
 	hot, cold []pq.Item
 	floor     uint64
@@ -51,7 +55,7 @@ func (s step) String() string { return fmt.Sprintf("%s %s %d", s.name, s.phase, 
 
 // take removes got from the tier a pop must serve (hot while it holds an
 // item), failing unless got is that tier's minimum key and an item the
-// tier holds; a pop from cold raises the floor.
+// tier holds; a pop from cold moves the floor to cold's new minimum.
 func (m *tierModel) take(t *testing.T, step step, got pq.Item) {
 	t.Helper()
 	tier, name := &m.hot, "hot"
@@ -70,6 +74,9 @@ func (m *tierModel) take(t *testing.T, step step, got pq.Item) {
 	}
 	if name == "cold" {
 		m.floor = got.Key
+		if len(m.cold) > 0 {
+			m.floor = m.cold[0].Key
+		}
 	}
 }
 
@@ -91,7 +98,7 @@ func (m *tierModel) check(t *testing.T, step step, s *subqueue) {
 	if s.len() != m.len() {
 		t.Fatalf("%v: len = %d, want %d", step, s.len(), m.len())
 	}
-	if f := s.cold.LastPop(); f != m.floor {
+	if f := s.cold.Floor(); f != m.floor {
 		t.Fatalf("%v: floor = %d, want %d", step, f, m.floor)
 	}
 	if n := len(m.hot); n > 0 && m.hot[n-1].Key >= m.floor {
@@ -245,11 +252,11 @@ func TestSubqueueGrownAndFlushed(t *testing.T) {
 			h.DeleteMin()
 		}
 		old := q.queues()[0]
-		if f := old.cold.LastPop(); f != 1009 {
-			t.Fatalf("floor before growth = %d, want 1009", f)
+		if f := old.cold.Floor(); f != 1010 {
+			t.Fatalf("floor before growth = %d, want 1010", f)
 		}
 		q.EnsureHandles(3)
-		if f := old.cold.LastPop(); f != 1009 {
+		if f := old.cold.Floor(); f != 1010 {
 			t.Fatalf("growth moved the old floor to %d", f)
 		}
 		r := rng.New(21)
@@ -275,7 +282,7 @@ func TestSubqueueGrownAndFlushed(t *testing.T) {
 		h.Flush()
 		m.push(in)
 		m.check(t, step{"flushed", "prefilled", 0}, s)
-		if k, _, ok := h.DeleteMin(); !ok || k != 100 { // refill: pops 100..107 from cold
+		if k, _, ok := h.DeleteMin(); !ok || k != 100 { // refill: pops 100..107 from cold, floor 108
 			t.Fatalf("DeleteMin = %d/%v, want 100", k, ok)
 		}
 		for i, it := range in[:8] {
@@ -285,11 +292,11 @@ func TestSubqueueGrownAndFlushed(t *testing.T) {
 		if len(h.del) != 7 {
 			t.Fatalf("deletion buffer holds %d items, want 7", len(h.del))
 		}
-		h.Flush() // 101..106 go below the floor 107, to hot
+		h.Flush() // 101..107 go below the floor 108, to hot
 		m.push(in[1:8])
 		m.check(t, step{"flushed", "pushed back", 0}, s)
-		if s.hot.Len() != 6 {
-			t.Fatalf("Flush put %d items in hot, want 6 (101..106)", s.hot.Len())
+		if s.hot.Len() != 7 {
+			t.Fatalf("Flush put %d items in hot, want 7 (101..107)", s.hot.Len())
 		}
 		drain(t, "flushed", s, m)
 	})
@@ -451,4 +458,56 @@ func BenchmarkSubqueue(b *testing.B) {
 			sinkSub = out
 		})
 	}
+}
+
+// BenchmarkSubqueueSplit times bench/'s split-asc shape through the
+// queue: NewEngineered(4, 2, 4, 8), bench/'s queue, prefilled with
+// 2·10^6 ascending keys (250k per sub-queue), then one EHandle pushing
+// batches of 8 rising keys while another pops batches of 8. One op is one
+// pop batch. The pusher runs for the whole measurement, pausing while the
+// queue holds more than its prefill, so the popper sets the time, and a
+// sub-queue's lines pass between two cores. Its keys start over from the
+// bottom of the prefill's range, as bench/'s loader's generator does, so
+// its pushes land among the keys the popper is working through.
+// BenchmarkSubqueue, one goroutine doing both, shows neither.
+func BenchmarkSubqueueSplit(b *testing.B) {
+	const prefill, batch = 2_000_000, 8
+	q := NewEngineered(DefaultC, 2, DefaultStickiness, DefaultBuffer)
+	ins, del := q.Handle().(*EHandle), q.Handle().(*EHandle)
+	in, out := make([]pq.KV, batch), make([]pq.KV, batch)
+	push := func(gen *keys.Generator) {
+		for i := range in {
+			in[i] = pq.KV{Key: gen.Next()}
+		}
+		ins.InsertN(in)
+	}
+	gen := keys.NewGenerator(keys.Ascending, rng.New(1))
+	for i := 0; i < prefill; i += batch {
+		push(gen)
+	}
+	ins.Flush()
+	gen = keys.NewGenerator(keys.Ascending, rng.New(2))
+	var stop atomic.Bool
+	var popped atomic.Int64 // batches
+	var wg sync.WaitGroup
+	wg.Add(1)
+	b.ResetTimer()
+	go func() {
+		defer wg.Done()
+		for pushed := int64(0); !stop.Load(); pushed++ {
+			for pushed%64 == 0 && pushed >= popped.Load() && !stop.Load() {
+				time.Sleep(100 * time.Microsecond)
+			}
+			push(gen)
+		}
+	}()
+	for i := 0; i < b.N; i++ {
+		if del.DeleteMinN(out, batch) == 0 {
+			b.Fatal("DeleteMinN found the queue empty")
+		}
+		popped.Add(1)
+	}
+	b.StopTimer()
+	stop.Store(true)
+	wg.Wait()
 }

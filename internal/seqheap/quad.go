@@ -9,27 +9,14 @@ import "cpq/internal/pq"
 // pointer-free allocation of 512 bytes or more that alignment (its size
 // classes from there on are multiples of 64, and larger objects start on
 // a page), so every heap past a few dozen items is aligned without padding.
-//
-// Two of those slots carry Pop's state instead of the header: they share
-// the root's cache line, which Pop writes anyway, and so the header stays
-// one slice (a MultiQueue sub-queue fits two heaps in its cache line).
 const quadRoot = 3
-
-// Pop's state in the padding slots' keys.
-const (
-	aheadSlot   = 0 // XOR of the look-ahead reads; its value means nothing
-	lastPopSlot = 1 // key of the latest pop (LastPop)
-)
 
 // QuadHeap is a sequential 4-ary min-heap over pq.Item ordered by Key, laid
 // out so that each group of 4 siblings fills one cache line (see quadRoot).
 // A pop walks about half the levels of a binary heap, one cache line and 3
-// compares per level, which is why it backs every MultiQueue sub-queue:
-// there the sift-down of large heaps bounds the deletion cost.
-//
-// The heap remembers the key of its latest pop (LastPop): a MultiQueue
-// sub-queue routes each push by it, keeping keys below that floor in a
-// second heap (see package multiq).
+// compares per level. It is the hot tier of every MultiQueue sub-queue,
+// the keys below the cold tier's floor (package multiq), a heap that stays
+// small enough for the cache.
 //
 // The zero value is an empty heap ready for use. Not safe for concurrent
 // use.
@@ -39,15 +26,6 @@ type QuadHeap struct {
 
 // Len reports the number of items in the heap.
 func (h *QuadHeap) Len() int { return max(len(h.a)-quadRoot, 0) }
-
-// LastPop returns the key of the item the latest Pop removed, or 0 before
-// the first pop. Pushes do not change it, and a drained heap keeps it.
-func (h *QuadHeap) LastPop() uint64 {
-	if len(h.a) < quadRoot {
-		return 0
-	}
-	return h.a[lastPopSlot].Key
-}
 
 // Min returns the minimum item without removing it.
 func (h *QuadHeap) Min() (pq.Item, bool) {
@@ -79,17 +57,6 @@ func (h *QuadHeap) Push(it pq.Item) {
 // Pop removes and returns the minimum item: the last item sifts down from
 // the root, taking at each level the smallest of a full sibling group
 // with an unrolled min-of-4.
-//
-// In a heap larger than the cache, the sift-down waits on one cache miss
-// per level, and the next level's address is known only once this level
-// is compared. So each level also reads the first key of each of its 4
-// children's own groups: the 4 lines the next level's group is one of.
-// Their misses then overlap this level's instead of following it (Go has
-// no prefetch instruction). On bench/'s split-asc workload those reads
-// raised throughput by about a sixth over the same heap without them; on
-// fig4a, whose smaller heaps miss less, they cost some delete latency
-// (EXPERIMENTS.md, "4-ary sub-heaps"). Their XOR is stored in a padding
-// slot, which keeps the compiler from dropping them.
 func (h *QuadHeap) Pop() (pq.Item, bool) {
 	n := len(h.a) - 1
 	if n < quadRoot {
@@ -99,12 +66,10 @@ func (h *QuadHeap) Pop() (pq.Item, bool) {
 	min, it := a[quadRoot], a[n]
 	a = a[:n]
 	h.a = a
-	a[lastPopSlot].Key = min.Key
 	if n == quadRoot {
 		return min, true
 	}
 	i := quadRoot
-	var ahead uint64
 	for {
 		c := 4 * (i - 2)
 		if c+4 > n {
@@ -122,9 +87,6 @@ func (h *QuadHeap) Pop() (pq.Item, bool) {
 				}
 			}
 			break
-		}
-		if gc := 4*c - 8; gc+12 < n {
-			ahead ^= a[gc].Key ^ a[gc+4].Key ^ a[gc+8].Key ^ a[gc+12].Key
 		}
 		g := (*[4]pq.Item)(a[c : c+4])
 		least, k := 0, g[0].Key
@@ -144,7 +106,6 @@ func (h *QuadHeap) Pop() (pq.Item, bool) {
 		i = c + least
 	}
 	a[i] = it
-	a[aheadSlot].Key = ahead
 	return min, true
 }
 

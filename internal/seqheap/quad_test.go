@@ -112,60 +112,6 @@ func TestQuadHeapMatchesBinaryHeap(t *testing.T) {
 	}
 }
 
-// TestQuadHeapLastPop pins the floor a MultiQueue sub-queue routes by: 0
-// on the zero value and before the first pop, then the key of the latest
-// pop, unchanged by pushes, through every growth of the backing array
-// (which must carry the padding slots along) and after a drain to empty.
-func TestQuadHeapLastPop(t *testing.T) {
-	var h QuadHeap
-	if got := h.LastPop(); got != 0 {
-		t.Fatalf("zero value: LastPop = %d, want 0", got)
-	}
-	if _, ok := h.Pop(); ok || h.LastPop() != 0 {
-		t.Fatalf("Pop on the zero value: ok %v, LastPop %d", ok, h.LastPop())
-	}
-	r := rng.New(5)
-	for i := 0; i < 1000; i++ {
-		h.Push(pq.Item{Key: 1000 + r.Uint64()%1000})
-	}
-	if got := h.LastPop(); got != 0 {
-		t.Fatalf("after pushes only: LastPop = %d, want 0", got)
-	}
-	var want uint64
-	for i := 0; i < 20_000; i++ {
-		if r.Uintn(3) > 0 || h.Len() == 0 {
-			oldCap := cap(h.a)
-			h.Push(pq.Item{Key: r.Uint64() % 5000})
-			if got := h.LastPop(); got != want {
-				t.Fatalf("step %d: push (capacity %d -> %d) moved LastPop %d -> %d", i, oldCap, cap(h.a), want, got)
-			}
-			continue
-		}
-		it, _ := h.Pop()
-		want = it.Key
-		if got := h.LastPop(); got != want {
-			t.Fatalf("step %d: LastPop = %d after popping %d", i, got, want)
-		}
-	}
-	for h.Len() > 0 {
-		it, _ := h.Pop()
-		want = it.Key
-	}
-	if got := h.LastPop(); got != want {
-		t.Fatalf("drained: LastPop = %d, want the last key popped, %d", got, want)
-	}
-	if _, ok := h.Pop(); ok || h.LastPop() != want {
-		t.Fatalf("Pop on the drained heap: ok %v, LastPop %d, want %d", ok, h.LastPop(), want)
-	}
-	h.Push(pq.Item{Key: want + 1})
-	if got := h.LastPop(); got != want {
-		t.Fatalf("push after the drain: LastPop = %d, want %d", got, want)
-	}
-	if it, _ := h.Pop(); h.LastPop() != want+1 {
-		t.Fatalf("popping the only item, %d: LastPop = %d", it.Key, h.LastPop())
-	}
-}
-
 // TestQuadHeapSiblingGroupsAligned checks the layout the heap relies on:
 // once a heap holds 64 items, its first sibling group, and so every
 // group, starts on a 64-byte boundary, through every growth of the

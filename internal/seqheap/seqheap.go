@@ -1,19 +1,16 @@
-// Package seqheap provides the sequential min-heaps of the suite and the
-// GlobalLock baseline queue built from one of them.
+// Package seqheap provides the sequential priority queues of the suite
+// and the GlobalLock baseline queue built from one of them.
 //
 // The paper uses "a simple, standardized sequential priority queue
 // implementation protected by a global lock ... to establish a baseline for
 // acceptable performance" (std::priority_queue + lock in the C++ code). The
 // binary Heap here is the std::priority_queue equivalent and backs
-// GlobalLock. QuadHeap, a 4-ary heap whose sibling groups each fill one
-// cache line, is the heap inside every MultiQueue sub-queue, twice: a
-// sub-queue keeps keys below its cold heap's latest pop (the floor,
-// QuadHeap.LastPop) in a second, hot heap, so every hot key is below the
-// floor and every cold key at or above it, and a pop drains hot first.
-// The floor is the last pop rather than the cold minimum so that a
-// prefill, which pops nothing, stays in cold. QuadHeap keeps the floor in
-// an unused padding slot of its backing array, so its header is one slice
-// and the sub-queue still fits one cache line (see package multiq).
+// GlobalLock. The other two are the tiers of every MultiQueue sub-queue
+// (see package multiq): RadixHeap, a monotone radix heap, is the cold
+// tier, and its floor routes the sub-queue's pushes; QuadHeap, a 4-ary
+// heap whose sibling groups each fill one cache line, is the hot tier and
+// takes the keys below that floor. A pop drains hot first, so the
+// sub-queue stays exact.
 package seqheap
 
 import (

@@ -278,8 +278,8 @@ var sinkItems []pq.Item
 // The ops are timed right after the prefill, before the hold-model drift
 // of uniform keys sets in (the kept keys becoming the old, large ones,
 // most new keys landing below them); a sub-queue past that drift splits
-// its keys between two 4-ary heaps, which multiq's BenchmarkSubqueue
-// times.
+// its keys between a 4-ary heap and a radix heap, which multiq's
+// BenchmarkSubqueue times.
 func BenchmarkSubHeap(b *testing.B) {
 	const heaps, batch = 8, 8
 	for _, shape := range []struct {

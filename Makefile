@@ -135,11 +135,12 @@ pqd-smoke:
 # the producer-stall test, and the end-to-end kill/recover/conserve test
 # that SIGKILLs a durable pqd child mid-traffic and proves the restart
 # conserves every acknowledged item (DESIGN.md §8). The recovery benchmark
-# runs once, without the race detector, so it keeps building.
+# and the disk store's append-and-sync kernel run once, without the race
+# detector, so they keep building.
 durable:
 	$(GO) test -race -count=1 ./internal/durable/...
 	$(GO) test -race -count=1 -run TestKillRecoverConserve ./cmd/pqd/
-	$(GO) test -count=1 -run '^$$' -bench Recover -benchtime 1x ./internal/durable/
+	$(GO) test -count=1 -run '^$$' -bench 'Recover|AppendSync' -benchtime 1x ./internal/durable/ ./internal/durable/kv/
 
 # The goroutine-churn bench alone: the pooled handle lifecycle on the
 # churn queues, as a readable table.

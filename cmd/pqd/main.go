@@ -62,7 +62,7 @@ func main() {
 		stall    = flag.Duration("stall-timeout", 0, "write deadline for a client to drain its responses before it is evicted (0 = default 5s)")
 		durableF = flag.String("durable", "", "write-ahead log `dir`: wrap every served queue durably, one subdirectory per queue id")
 		snapEv   = flag.Int("snap-every", 0, "durable snapshot cadence in logged ops per queue (0 = explicit/final snapshots only)")
-		segBytes = flag.Int("seg-bytes", 0, "durable WAL segment size in bytes (0 = default 1 MiB; also the preallocation unit)")
+		segBytes = flag.Int("seg-bytes", 0, "durable WAL segment size in bytes (0 = default 1 MiB; also the size of each new store segment)")
 		telemF   = flag.Bool("telemetry", false, "collect queue-internals counters; print the table on shutdown (DESIGN.md §5)")
 		prof     = cli.NewProfiler(flag.CommandLine)
 	)

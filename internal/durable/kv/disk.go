@@ -13,13 +13,22 @@ import (
 	"sync/atomic"
 )
 
-// DefaultSegmentBytes is the preallocation unit for appended keys when
+// DefaultSegmentBytes is the size of a new appended key's segment when
 // the store is opened with no explicit size.
 const DefaultSegmentBytes = 1 << 20
 
-// segSuffix marks a preallocated segment file on disk. escapeKey never
-// emits '@', so the suffix cannot collide with any escaped key.
+// segSuffix marks a segment file on disk. escapeKey never emits '@', so
+// the suffix cannot collide with any escaped key.
 const segSuffix = "@seg"
+
+// spareName is the file the store zeroes ahead of its next new key. No
+// key or Update temp file can take the name (escapeKey never emits '@'),
+// List skips ".tmp" names and the reopen scan loads only segSuffix ones,
+// so a spare is never read as a key.
+const spareName = "@spare.tmp"
+
+// zeroBlock is the source of every spare's zeros; nothing writes it.
+var zeroBlock [64 << 10]byte
 
 // scanWindow is the read buffer the reopen scan walks a segment through;
 // it grows only if a single record outsizes it.
@@ -29,14 +38,25 @@ const scanWindow = 64 << 10
 // bytes outside [A-Za-z0-9._-] are %XX-escaped in the file name, so
 // "wal/0001" and "part/0001" coexist in one directory).
 //
-// Appended keys live in segment files ("<escaped key>@seg") preallocated
-// up front (fallocate where available), so an Append is a pwrite(2) into
-// reserved blocks plus an atomically-published write offset: the file
-// never grows on the hot path. Sync flushes the dirty segments with
-// fdatasync (the size does not change after preallocation). Reserved is
-// not written, though: on ext4, fallocate reserves unwritten extents, and
-// the first write into each block converts its extent, a metadata change
-// the next fdatasync journals (DESIGN.md §8e). Get reads the published
+// Appended keys live in segment files ("<escaped key>@seg") of at least
+// segBytes, so an Append is a pwrite(2) into blocks the file already has
+// plus an atomically-published write offset: the file never grows on the
+// hot path. A background goroutine writes a spare segment: a file of
+// segBytes zeros, written and fdatasynced. A new key takes a ready spare
+// (link, then unlink of the spare's name), so the blocks a WAL commit
+// lands in were written before, and Sync's fdatasync flushes data only.
+// Reserved blocks would not do: on ext4, fallocate leaves unwritten
+// extents, and the next fdatasync after the first write into one
+// journals its conversion (DESIGN.md §8e). A spare starts only when an
+// append carries a segment past half its size, so a store writes at most
+// two bytes of zeros per byte appended, and one that appends little (a
+// test's, or one whose segments snapshots cut short) writes none; the
+// zeros also go down mid-segment, away from the rotation a snapshot's
+// cut makes and the part and manifest fsyncs that follow it. A new key
+// that finds no spare ready (a store's first), or whose first append
+// outgrows one, falls back to prealloc, as does an append past a
+// segment's size: a snapshot part's, and a WAL segment's last commit,
+// which crosses its size before the WAL rotates. Get reads the published
 // prefix back with pread; the WAL's live segments are written and synced
 // thousands of times per second but read back only on recovery and by
 // the snapshot fold.
@@ -50,24 +70,29 @@ const scanWindow = 64 << 10
 // file for any key without a segment, so a directory of plain appended
 // files still reads.
 //
-// Because a preallocated segment is physically larger than its logical
-// content, the store must bound the valid tail on reopen. Appended keys
-// are assumed to hold the durable tier's length-prefixed record framing
-// (u32 big-endian body length, body, u32 CRC-32/IEEE trailer): the scan
-// walks whole records and stops at a zero length prefix — impossible as
-// a real body length, guaranteed present because preallocated bytes are
-// zero — and a final record that is structurally short or fails its
-// checksum is discarded as a torn, never-acknowledged tail (see
-// scanRecordTail). In-process the published offset is exact and no scan
-// happens; Get returns every byte appended so far, synced or not.
+// Because a segment is physically larger than its logical content, the
+// store must bound the valid tail on reopen. Appended keys are assumed
+// to hold the durable tier's length-prefixed record framing (u32
+// big-endian body length, body, u32 CRC-32/IEEE trailer): the scan walks
+// whole records and stops at a zero length prefix — impossible as a real
+// body length, guaranteed present because a segment's unused bytes are
+// zero, written so by the spare or read so from prealloc — and a final
+// record that is structurally short or fails its checksum is discarded
+// as a torn, never-acknowledged tail (see scanRecordTail). In-process the
+// published offset is exact and no scan happens; Get returns every byte
+// appended so far, synced or not. A spare left by a crash is removed on
+// reopen, whatever it holds.
 type Disk struct {
 	dir      string
 	segBytes int
 
-	mu     sync.Mutex
-	segs   map[string]*seg
-	dirty  map[string]struct{}
-	closed bool
+	mu      sync.Mutex
+	segs    map[string]*seg
+	dirty   map[string]struct{}
+	closed  bool
+	spare   *os.File       // zeroed and synced, ready for the next new key; nil while none is
+	zeroing bool           // a goroutine is writing the next spare
+	zeroed  sync.WaitGroup // that goroutine; Close waits for it
 }
 
 // seg is one open segment file. The caller (the WAL's group-commit lock)
@@ -77,15 +102,15 @@ type Disk struct {
 // that race fails with os.ErrClosed instead of touching a reused fd.
 type seg struct {
 	f    *os.File
-	size int64        // preallocated bytes
+	size int64        // bytes the file holds: written zeros or prealloc'd
 	off  atomic.Int64 // published length of the valid appended prefix
 }
 
 // OpenMmap opens (creating if needed) the segment store rooted at dir.
-// segBytes is the preallocation unit for appended keys (0 =
-// DefaultSegmentBytes); existing segments get their valid tails
-// re-established by the record scan. The store maps nothing: the name
-// is kept because the benchmark module (bench/) calls it.
+// segBytes is the size of a new appended key's segment, and of each spare
+// the store zeroes (0 = DefaultSegmentBytes); existing segments get their
+// valid tails re-established by the record scan. The store maps nothing:
+// the name is kept because the benchmark module (bench/) calls it.
 func OpenMmap(dir string, segBytes int) (*Disk, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("kv: empty store directory")
@@ -101,6 +126,11 @@ func OpenMmap(dir string, segBytes int) (*Disk, error) {
 		segBytes: segBytes,
 		segs:     make(map[string]*seg),
 		dirty:    make(map[string]struct{}),
+	}
+	// A crash can leave a spare at any length, mid-zeroing; it holds no
+	// data, so it goes rather than being checked.
+	if err := os.Remove(filepath.Join(dir, spareName)); err != nil && !os.IsNotExist(err) {
+		return nil, err
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -175,9 +205,25 @@ func unescapeKey(name string) (string, bool) {
 func (s *Disk) path(key string) string    { return filepath.Join(s.dir, escapeKey(key)) }
 func (s *Disk) segPath(key string) string { return s.path(key) + segSuffix }
 
-// newSeg creates and preallocates a segment file sized to hold at least
-// need bytes.
+// newSeg creates the segment file for a new key, sized to hold at least
+// need bytes. s.mu is held. When need fits one segment, the ready spare
+// takes the name: link, unlike rename, fails if the name exists, as
+// O_EXCL does below, so the move never replaces a file. Otherwise — no
+// spare ready, an oversized first append, or a filesystem that refuses
+// the link — the file is created and its blocks are reserved by
+// prealloc.
 func (s *Disk) newSeg(path string, need int) (*seg, error) {
+	if f := s.spare; f != nil && need <= s.segBytes {
+		spare := filepath.Join(s.dir, spareName)
+		if err := os.Link(spare, path); err == nil {
+			s.spare = nil
+			if err := os.Remove(spare); err != nil {
+				f.Close()
+				return nil, err
+			}
+			return &seg{f: f, size: int64(s.segBytes)}, nil
+		}
+	}
 	size := int64(max(s.segBytes, need))
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -189,6 +235,50 @@ func (s *Disk) newSeg(path string, need int) (*seg, error) {
 		return nil, err
 	}
 	return &seg{f: f, size: size}, nil
+}
+
+// makeSpare writes segBytes of zeros to a fresh spare file, fdatasyncs
+// it and hands it to the store, or removes it if the store has closed
+// meanwhile. A failure is not reported: it leaves no spare, so the next
+// new key takes prealloc's path, which reports a full disk itself, and
+// the next append past a segment's half starts another attempt.
+func (s *Disk) makeSpare() {
+	defer s.zeroed.Done()
+	path := filepath.Join(s.dir, spareName)
+	f, err := writeZeros(path, s.segBytes)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.zeroing = false
+	if err != nil {
+		return
+	}
+	if s.closed {
+		f.Close()
+		os.Remove(path)
+		return
+	}
+	s.spare = f
+}
+
+// writeZeros creates path (which must not exist) holding size zero bytes,
+// written from zeroBlock and made durable.
+func writeZeros(path string, size int) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	for off := 0; off < size && err == nil; off += len(zeroBlock) {
+		_, err = f.Write(zeroBlock[:min(len(zeroBlock), size-off)])
+	}
+	if err == nil {
+		err = flushSeg(f)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	return f, nil
 }
 
 // openSeg opens an existing segment file and re-establishes its valid
@@ -288,15 +378,15 @@ const (
 	scanTrailer = 4
 )
 
-// scanRecordTail bounds the valid appended prefix of a reopened
-// preallocated segment. It walks length-prefixed records; a zero length
-// prefix marks the frontier (real bodies are never empty, preallocated
-// bytes always are). The final record before the frontier additionally
-// has its checksum verified: a record a crash tore mid-write has intact
-// earlier bytes and zero (or short) later ones, so it is structurally
-// short or checksum-broken — and since a Sync barrier returns only after
-// every prior append is physically durable, a record that fails here was
-// never covered by one, i.e. never acknowledged, and is discarded.
+// scanRecordTail bounds the valid appended prefix of a reopened segment.
+// It walks length-prefixed records; a zero length prefix marks the
+// frontier (real bodies are never empty, a segment's unused bytes always
+// are). The final record before the frontier additionally has its
+// checksum verified: a record a crash tore mid-write has intact earlier
+// bytes and zero (or short) later ones, so it is structurally short or
+// checksum-broken — and since a Sync barrier returns only after every
+// prior append is physically durable, a record that fails here was never
+// covered by one, i.e. never acknowledged, and is discarded.
 func scanRecordTail(data []byte) int {
 	off := 0
 	for off+scanHeader <= len(data) {
@@ -479,13 +569,13 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-// Append implements Store: pwrite into the preallocated region, then
-// publish the new offset (pwrite returning orders the page-cache update
-// before the store, so a reader that observes the offset reads the
-// bytes). The first append to a key preallocates its segment (and fsyncs
-// the directory so the name survives); an append past the preallocated
-// size first doubles the preallocation, which steady-state WAL rotation
-// never hits.
+// Append implements Store: pwrite into the segment, then publish the new
+// offset (pwrite returning orders the page-cache update before the store,
+// so a reader that observes the offset reads the bytes). The first append
+// to a key creates its segment, from the spare when one is ready (newSeg),
+// and then fsyncs the directory so the name survives; an append past the
+// segment's size first doubles it with prealloc, and one past its half
+// starts the next spare if none is ready or being written (see Disk).
 func (s *Disk) Append(key string, data []byte) error {
 	s.mu.Lock()
 	if s.closed {
@@ -523,12 +613,21 @@ func (s *Disk) Append(key string, data []byte) error {
 		return err
 	}
 	g.off.Store(end)
+	if half := g.size / 2; off < half && end >= half { // mid-segment: zero the next spare
+		s.mu.Lock()
+		if !s.closed && s.spare == nil && !s.zeroing {
+			s.zeroing = true
+			s.zeroed.Add(1)
+			go s.makeSpare()
+		}
+		s.mu.Unlock()
+	}
 	return nil
 }
 
-// grow preallocates g to at least twice its size. It holds the store
-// mutex so an Update delete cannot close the descriptor underneath the
-// raw-fd fallocate.
+// grow extends g with prealloc to at least twice its size. It holds the
+// store mutex so an Update delete cannot close the descriptor underneath
+// the raw-fd fallocate.
 func (s *Disk) grow(key string, g *seg, need int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -546,10 +645,10 @@ func (s *Disk) grow(key string, g *seg, need int64) error {
 func errDeleted(key string) error { return fmt.Errorf("kv: append to deleted segment %q", key) }
 
 // Sync implements Store: flush every segment appended since the last
-// barrier. fdatasync suffices — the file size was fixed at
-// preallocation, so it flushes no size update; on ext4 it still journals
-// the extent conversions of blocks written for the first time (see
-// Disk).
+// barrier. fdatasync suffices — an append never changes the file size.
+// Into a segment taken from the spare it flushes data only; into one
+// from prealloc, or past a growth, ext4 also journals the conversion of
+// each block written for the first time (see Disk).
 func (s *Disk) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -567,11 +666,12 @@ func (s *Disk) Sync() error {
 	return nil
 }
 
-// Close implements Store.
+// Close implements Store. It removes the ready spare, and waits for a
+// spare being written, which removes itself.
 func (s *Disk) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
@@ -582,5 +682,14 @@ func (s *Disk) Close() error {
 		}
 	}
 	s.segs = nil
+	if s.spare != nil {
+		s.spare.Close()
+		if err := os.Remove(filepath.Join(s.dir, spareName)); err != nil && first == nil {
+			first = err
+		}
+		s.spare = nil
+	}
+	s.mu.Unlock()
+	s.zeroed.Wait()
 	return first
 }

@@ -1,7 +1,7 @@
 // Package kv defines the minimal storage interface the durable queue tier
 // (internal/durable) persists through, with an in-memory implementation
-// for tests and a preallocated-segment disk implementation (Disk) for
-// production use.
+// for tests and a segment-file disk implementation (Disk) for production
+// use, whose new segments are taken from a spare of written zeros.
 //
 // The interface is deliberately small — point reads, sorted prefix
 // listing, an atomic write batch, raw appends, and a durability barrier —

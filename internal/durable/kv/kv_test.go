@@ -115,17 +115,16 @@ func TestStoreContract(t *testing.T) {
 }
 
 // TestFileReopen pins the property recovery depends on: a reopened disk
-// store re-establishes the valid tail of each preallocated segment from
-// the record framing, sees every committed Set key, and appends continue
-// from the tail rather than from the preallocated size. (The in-memory
-// store has nothing to reopen.)
+// store re-establishes the valid tail of each segment from the record
+// framing, sees every committed Set key, and appends continue from the
+// tail rather than from the segment's size. (The in-memory store has
+// nothing to reopen.)
 func TestFileReopen(t *testing.T) {
 	testReopen(t, OpenFile)
 }
 
 // TestMmapReopen is TestFileReopen through OpenMmap with segments smaller
-// than the preallocation default, so the reopen scan walks a segment the
-// appends grew.
+// than the default, so the reopen scan walks a segment the appends grew.
 func TestMmapReopen(t *testing.T) {
 	testReopen(t, func(dir string) (*Disk, error) { return OpenMmap(dir, 1<<4) })
 }

@@ -7,13 +7,15 @@ import (
 	"syscall"
 )
 
-// prealloc reserves size bytes of blocks for f. fallocate both extends
-// the inode size and allocates the extents, so later pwrites into the
-// region never grow the file. The extents are unwritten, though (ext4):
-// the first write into each block converts its extent, and the next
-// fdatasync journals that conversion. A probe on ext4 read the p50 of a
-// 4.8 KB pwrite plus fdatasync at 99–111 µs into fallocated blocks and
-// 61–70 µs into blocks written before.
+// prealloc reserves size bytes of blocks for f: the fallback for a new
+// key that finds no zeroed spare ready, and the growth of a segment past
+// its size. fallocate both extends the inode size and allocates the
+// extents, so later pwrites into the region never grow the file. The
+// extents are unwritten, though (ext4): the first write into each block
+// converts its extent, and the next fdatasync journals that conversion.
+// A probe on ext4 read the p50 of a 4.8 KB pwrite plus fdatasync at
+// 99–111 µs into fallocated blocks and 61–70 µs into blocks written
+// before, which is why new keys take written spares instead (see Disk).
 func prealloc(f *os.File, size int64) error {
 	if err := syscall.Fallocate(int(f.Fd()), 0, 0, size); err != nil {
 		// Filesystems without fallocate (tmpfs on old kernels, overlay
@@ -26,9 +28,10 @@ func prealloc(f *os.File, size int64) error {
 	return nil
 }
 
-// flushSeg makes a segment's appended bytes durable. The size was fixed
-// at preallocation time, so fdatasync (data pages, no inode update)
-// suffices for the durability barrier.
+// flushSeg makes a file's written bytes durable: a segment's appends, or
+// a spare's zeros. fdatasync (data pages, plus the size and allocation
+// needed to read them back, no timestamps) suffices for the durability
+// barrier.
 func flushSeg(f *os.File) error {
 	return syscall.Fdatasync(int(f.Fd()))
 }

@@ -4,10 +4,10 @@ package kv
 
 import "os"
 
-// prealloc off Linux: extend the inode with truncate. This does not
-// guarantee block allocation the way fallocate does, but it leaves the
-// zeroed region the reopen scan relies on; the metadata-journaling
-// optimisation is best-effort per platform.
+// prealloc off Linux, for the fallback and growth paths (see Disk):
+// extend the inode with truncate. This does not allocate blocks the way
+// fallocate does, but it leaves the zeroed region the reopen scan relies
+// on; new keys normally take a spare of written zeros instead.
 func prealloc(f *os.File, size int64) error {
 	return f.Truncate(size)
 }
